@@ -40,6 +40,7 @@ from .model import (
     return_rectangle,
     tau_bounds,
 )
+from .numerics import _bisect, _NoSignChange
 from .rects import SnRectangle, build_sn, fold_point
 from .returns import i_n, window_exponent
 
@@ -99,23 +100,6 @@ class MapWord:
                 raise DomainError(f"unknown map atom {atom[0]!r}")
         return jac
 
-    def det_product(self, sys: ModelSystem, point: Point) -> float:
-        """Product of the atom Jacobian determinants along the orbit of
-        ``point``.  Mathematically equal to det(jacobian); deep words
-        underflow both to 0.0."""
-        p = point
-        det = 1.0
-        for atom in self.atoms:
-            if atom[0] == "linear":
-                det *= _scale_power(1.0, sys.mu * sys.lam, atom[1])
-                p = apply_linear(sys, p, atom[1])
-            elif atom[0] == "phi":
-                det *= float(np.linalg.det(jacobian_phi(sys, p)))
-                p = apply_phi(sys, p)
-            else:
-                raise DomainError(f"unknown map atom {atom[0]!r}")
-        return det
-
 
 @dataclass(frozen=True)
 class CurveHandle:
@@ -161,27 +145,10 @@ class CurveHandle:
         """Parameter s with image abscissa x_target, by bisection.  The
         handle must be an x-monotone graph (checked by the callers on
         samples); raises NumericError when the target is not bracketed."""
-        a, b = self.s_lo, self.s_hi
-        fa = self.eval(sys, a)[0] - x_target
-        fb = self.eval(sys, b)[0] - x_target
-        if fa == 0.0:
-            return a
-        if fb == 0.0:
-            return b
-        if fa * fb > 0.0:
-            raise NumericError(f"abscissa {x_target:g} outside the handle's image range")
-        for _ in range(200):
-            mid = 0.5 * (a + b)
-            if mid == a or mid == b:
-                return mid
-            fm = self.eval(sys, mid)[0] - x_target
-            if fm == 0.0:
-                return mid
-            if fa * fm < 0.0:
-                b, fb = mid, fm
-            else:
-                a, fa = mid, fm
-        return 0.5 * (a + b)
+        try:
+            return _bisect(lambda s: self.eval(sys, s)[0] - x_target, self.s_lo, self.s_hi)
+        except _NoSignChange:
+            raise NumericError(f"abscissa {x_target:g} outside the handle's image range") from None
 
 
 def _lobatto(lo: float, hi: float, count: int) -> np.ndarray:

@@ -20,6 +20,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "SignCase",
+    "SIGN_CASES",
     "Adaptability",
     "classify",
     "classify_system",
@@ -79,6 +80,12 @@ def classify(sign_a: int, sign_bc: int, sign_lam: int, sign_mu: int) -> SignCase
     return SignCase(sign_a, sign_bc, sign_lam, sign_mu)
 
 
+# All sixteen sign cases, in the row order of the case table.
+SIGN_CASES = tuple(
+    SignCase(sa, sbc, sl, sm) for sa in (1, -1) for sbc in (1, -1) for sl in (1, -1) for sm in (1, -1)
+)
+
+
 def classify_system(sys: "ModelSystem") -> tuple[SignCase, Adaptability]:
     t = sys.transition
     case = classify(
@@ -122,15 +129,7 @@ def adaptability(case: SignCase) -> Adaptability:
 
 
 def adaptable_labels() -> list[str]:
-    out = []
-    for sa in (1, -1):
-        for sbc in (1, -1):
-            for sl in (1, -1):
-                for sm in (1, -1):
-                    case = classify(sa, sbc, sl, sm)
-                    if adaptability(case).adaptable:
-                        out.append(case.label)
-    return sorted(out)
+    return sorted(case.label for case in SIGN_CASES if adaptability(case).adaptable)
 
 
 def adaptable_count() -> int:

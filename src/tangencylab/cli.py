@@ -14,14 +14,13 @@ import hashlib
 import json
 import math
 import sys as _sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .cases import adaptability, adaptable_count, classify, classify_system
+from .cases import SIGN_CASES, adaptability, adaptable_count, adaptable_labels, classify_system
 from .cascade import count_crossing_arcs, run_cascade
 from .errors import (
     ConfigError,
@@ -33,7 +32,7 @@ from .errors import (
     WindowExceededError,
 )
 from .leaves import tangency_order, tangency_samples, unstable_leaf_w
-from .model import ModelSystem, SaddleSpec, return_rectangle, tau_bounds, validate
+from .model import ModelSystem, return_rectangle, tau_bounds, validate
 from .moduli import (
     correspondence_points,
     identity_pair,
@@ -400,15 +399,7 @@ def _assertion(name: str, passed: bool, detail: str) -> dict:
 
 
 def _system_for_eps(base: ModelSystem, eps: float) -> ModelSystem:
-    mu = math.copysign(1.0 + eps, base.mu)
-    return ModelSystem(
-        SaddleSpec(base.lam, mu),
-        base.transition,
-        base.seed,
-        base.chart_half_width,
-        base.uq_half_width,
-        base.ur_half_width,
-    )
+    return replace(base, saddle=replace(base.saddle, mu=math.copysign(1.0 + eps, base.mu)))
 
 
 def cmd_validate(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[dict]]:
@@ -460,8 +451,7 @@ def cmd_rects(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[dict]]:
     ns = _valid_range(sys, cfg.n_range)
     if len(ns) < 5:
         raise DomainError(f"need at least five valid levels in n_range, got {ns}")
-    with ThreadPoolExecutor() as pool:
-        sns = list(pool.map(lambda n: build_sn(sys, n), ns))
+    sns = [build_sn(sys, n) for n in ns]
 
     rows = []
     for S in sns:
@@ -642,20 +632,11 @@ def cmd_cascade(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[dict]]:
 def cmd_classify(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[dict]]:
     case, adapt = classify_system(cfg.system)
     rows = []
-    labels = set()
-    adaptable_labels_list = []
-    for sa in (1, -1):
-        for sbc in (1, -1):
-            for sl in (1, -1):
-                for sm in (1, -1):
-                    c = classify(sa, sbc, sl, sm)
-                    a = adaptability(c)
-                    labels.add(c.label)
-                    if a.adaptable:
-                        adaptable_labels_list.append(c.label)
-                    rows.append(
-                        (c.label, c.family, sa, sbc, sl, sm, a.adaptable, a.n_parity, a.sn_quadrant, a.needs_f_image, a.region or "")
-                    )
+    for c in SIGN_CASES:
+        a = adaptability(c)
+        rows.append(
+            (c.label, c.family, c.sign_a, c.sign_bc, c.sign_lam, c.sign_mu, a.adaptable, a.n_parity, a.sn_quadrant, a.needs_f_image, a.region or "")
+        )
     _write_csv(
         out / "cases.csv",
         ("label", "family", "sign_a", "sign_bc", "sign_lam", "sign_mu", "adaptable", "n_parity", "quadrant", "needs_f_image", "region"),
@@ -668,8 +649,9 @@ def cmd_classify(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[dict]]:
         "quadrant": adapt.sn_quadrant,
         "needs_f_image": adapt.needs_f_image,
         "region": adapt.region,
-        "adaptable_labels": sorted(adaptable_labels_list),
+        "adaptable_labels": adaptable_labels(),
     }
+    labels = {c.label for c in SIGN_CASES}
     assertions = [
         _assertion("case_table", len(labels) == 16, f"{len(labels)} distinct labels"),
         _assertion("adaptable_count", adaptable_count() == 9, f"count={adaptable_count()}"),
@@ -683,8 +665,7 @@ def cmd_moduli(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[dict]]:
     ns = list(range(cfg.n_range[0], min(cfg.n_range[1], sys.n_max) + 1))
     if len(ns) < 6:
         raise DomainError("moduli command needs at least six levels in n_range")
-    with ThreadPoolExecutor() as pool:
-        records = list(pool.map(lambda n: return_record(sys, n), ns))
+    records = [return_record(sys, n) for n in ns]
     rho, stderr = modulus_fit(sys, ns)
     target = -math.log(abs(sys.lam)) / math.log(abs(sys.mu))
     s_steps = [

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .model import ModelSystem, Point, _phi_parts, _poly, _poly_dx, _poly_dy, signed_power
+from .model import ModelSystem, Point, _phi_parts, _poly, signed_power
 from .numerics import solve_newton
 
 __all__ = [
@@ -63,15 +63,6 @@ class SeedArc:
     @property
     def z0(self) -> float:
         return self.coeffs[0]
-
-    @property
-    def sigma(self) -> float:
-        """max |y0'| over the domain (grid estimate, exact for affine seeds)."""
-        if len(self.coeffs) < 2:
-            return 0.0
-        deriv = tuple(i * c for i, c in enumerate(self.coeffs))[1:]
-        grid = np.linspace(self.domain[0], self.domain[1], 2001)
-        return float(np.abs(np.polyval(deriv[::-1], grid)).max())
 
     def eval(self, x: float) -> float:
         return float(np.polyval(self.coeffs[::-1], x))
@@ -156,7 +147,7 @@ def stable_leaf_v(sys: ModelSystem, x: float) -> float:
         return _phi_parts(sys, x, y)[0]
 
     def fprime(y: float) -> float:
-        return t.a + t.b * x + _poly_dy(t.h1_terms, x, y)
+        return t.a + t.b * x + _poly(t.h1_terms, x, y, dy=1)
 
     tol = 1e-14 * max(abs(t.c * x**3), 1e-300)
     half = max(8.0 * abs(seed), 1e-12)
@@ -181,7 +172,7 @@ def unstable_leaf_w(sys: ModelSystem, y_offset: float) -> float:
         return t.d * u + _poly(t.h2_terms, u, 0.0) - y_offset
 
     def fprime(u: float) -> float:
-        return t.d + _poly_dx(t.h2_terms, u, 0.0)
+        return t.d + _poly(t.h2_terms, u, 0.0, dx=1)
 
     seed = y_offset / t.d
     tol = 1e-14 * max(abs(y_offset), 1e-300)

@@ -67,21 +67,10 @@ def signed_power(base: float, k: int) -> float:
     """base**k for integer k, stable for |k| in the hundreds.
 
     Negative bases keep the exact sign parity; magnitudes that leave the
-    double range saturate to 0.0 / inf rather than raising.
+    double range saturate to 0.0 / inf rather than raising.  The base must
+    be nonzero (eigenvalues are, see SaddleSpec).
     """
-    if k == 0:
-        return 1.0
-    if base == 0.0:
-        return 0.0 if k > 0 else math.inf
-    if abs(k) <= _DIRECT_POW_LIMIT:
-        return base**k
-    sign = -1.0 if (base < 0.0 and k % 2 != 0) else 1.0
-    t = k * math.log(abs(base))
-    if t > 709.0:
-        return sign * math.inf
-    if t < -745.0:
-        return sign * 0.0
-    return sign * math.exp(t)
+    return _scale_power(1.0, base, k)
 
 
 def _check_terms(terms: Sequence[tuple[int, int, float]], label: str) -> tuple[tuple[int, int, float], ...]:
@@ -96,28 +85,16 @@ def _check_terms(terms: Sequence[tuple[int, int, float]], label: str) -> tuple[t
     return tuple(out)
 
 
-def _poly(terms: Iterable[tuple[int, int, float]], x: float, y: float) -> float:
-    return sum(coef * x**i * y**j for i, j, coef in terms)
-
-
-def _poly_dx(terms, x, y):
-    return sum(coef * i * x ** (i - 1) * y**j for i, j, coef in terms if i > 0)
-
-
-def _poly_dy(terms, x, y):
-    return sum(coef * j * x**i * y ** (j - 1) for i, j, coef in terms if j > 0)
-
-
-def _poly_dxx(terms, x, y):
-    return sum(coef * i * (i - 1) * x ** (i - 2) * y**j for i, j, coef in terms if i > 1)
-
-
-def _poly_dxy(terms, x, y):
-    return sum(coef * i * j * x ** (i - 1) * y ** (j - 1) for i, j, coef in terms if i > 0 and j > 0)
-
-
-def _poly_dyy(terms, x, y):
-    return sum(coef * j * (j - 1) * x**i * y ** (j - 2) for i, j, coef in terms if j > 1)
+def _poly(terms: Iterable[tuple[int, int, float]], x, y, dx: int = 0, dy: int = 0):
+    """sum(coef * x**i * y**j) over the terms, or its partial derivative of
+    order dx in x and dy in y.  Works on scalars and on numpy arrays.  The
+    factors i, i-1, ..., j, j-1, ... multiply the coefficient one at a time,
+    so the result rounds like the written-out partials."""
+    return sum(
+        math.prod((*range(i, i - dx, -1), *range(j, j - dy, -1)), start=coef) * x ** (i - dx) * y ** (j - dy)
+        for i, j, coef in terms
+        if i >= dx and j >= dy
+    )
 
 
 @dataclass(frozen=True)
@@ -190,10 +167,6 @@ class Rect:
     @property
     def height(self) -> float:
         return self.y_hi - self.y_lo
-
-    @property
-    def center(self) -> Point:
-        return (0.5 * (self.x_lo + self.x_hi), 0.5 * (self.y_lo + self.y_hi))
 
     def corners(self) -> list[Point]:
         return [
@@ -310,6 +283,21 @@ def _scale_power(value: float, base: float, k: int) -> float:
     return sign * math.exp(t)
 
 
+def _window_power(x: float, base: float, lo: float, hi: float, k_min: int) -> int | None:
+    """First k >= k_min with x * base**k in (lo, hi], or None.
+
+    A log estimate picks k and a scan of four steps either side settles it,
+    so the boundary cases are decided by the same float comparisons the
+    membership tests use.  When hi / lo is |base| the window is one step
+    wide and half open, and k is unique.
+    """
+    est = math.floor((math.log(hi) - math.log(abs(x))) / math.log(abs(base)))
+    for k in range(max(est - 4, k_min), max(est + 5, k_min + 5)):
+        if lo < _scale_power(x, base, k) <= hi:
+            return k
+    return None
+
+
 def chart_exit_index(sys: ModelSystem, point: Point, k: int) -> int | None:
     """First i in 1..k with f^i(point) outside U(p), or None if the whole
     segment of orbit stays inside the chart."""
@@ -345,8 +333,8 @@ def jacobian_phi(sys: ModelSystem, point: Point) -> np.ndarray:
     y = point[1]
     return np.array(
         [
-            [t.b * y + 3.0 * t.c * x**2 + _poly_dx(t.h1_terms, x, y), t.a + t.b * x + _poly_dy(t.h1_terms, x, y)],
-            [t.d + _poly_dx(t.h2_terms, x, y), t.e + _poly_dy(t.h2_terms, x, y)],
+            [t.b * y + 3.0 * t.c * x**2 + _poly(t.h1_terms, x, y, dx=1), t.a + t.b * x + _poly(t.h1_terms, x, y, dy=1)],
+            [t.d + _poly(t.h2_terms, x, y, dx=1), t.e + _poly(t.h2_terms, x, y, dy=1)],
         ]
     )
 
@@ -355,11 +343,11 @@ def phi_x_derivatives(sys: ModelSystem, x: float, y: float) -> tuple[float, floa
     """First and second partials of pr_x(phi) in local offsets (x, y):
     (Fx, Fy, Fxx, Fxy, Fyy).  Used by the vertical tangency solver."""
     t = sys.transition
-    fx = t.b * y + 3.0 * t.c * x**2 + _poly_dx(t.h1_terms, x, y)
-    fy = t.a + t.b * x + _poly_dy(t.h1_terms, x, y)
-    fxx = 6.0 * t.c * x + _poly_dxx(t.h1_terms, x, y)
-    fxy = t.b + _poly_dxy(t.h1_terms, x, y)
-    fyy = _poly_dyy(t.h1_terms, x, y)
+    fx = t.b * y + 3.0 * t.c * x**2 + _poly(t.h1_terms, x, y, dx=1)
+    fy = t.a + t.b * x + _poly(t.h1_terms, x, y, dy=1)
+    fxx = 6.0 * t.c * x + _poly(t.h1_terms, x, y, dx=2)
+    fxy = t.b + _poly(t.h1_terms, x, y, dx=1, dy=1)
+    fyy = _poly(t.h1_terms, x, y, dy=2)
     return fx, fy, fxx, fxy, fyy
 
 
@@ -404,11 +392,7 @@ def tau_bounds(sys: ModelSystem, resolution: int = 256, region: Rect | None = No
             raise ChartExitError(f"return rectangle corner {corner} leaves U(q)")
     xs = np.linspace(rect.x_lo, rect.x_hi, resolution) - 1.0
     ys = np.linspace(rect.y_lo, rect.y_hi, resolution)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    t = sys.transition
-    px = t.a * gy + t.b * gx * gy + t.c * gx**3
-    for i, j, coef in t.h1_terms:
-        px += coef * gx**i * gy**j
+    px = _phi_parts(sys, *np.meshgrid(xs, ys, indexing="ij"))[0]
     lo = float(px.min())
     hi = float(px.max())
     if lo <= 0.0 <= hi:

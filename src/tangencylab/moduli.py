@@ -11,23 +11,15 @@ rescalings implemented here are the conjugacies that realize equal moduli.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .cases import classify_system
 from .errors import DomainError, NotFoundError, NumericError, WrongQuadrantError
-from .leaves import SeedArc, alpha
-from .model import (
-    ModelSystem,
-    Point,
-    SaddleSpec,
-    TransitionSpec,
-    _scale_power,
-    apply_linear,
-    apply_phi,
-    signed_power,
-)
+from .leaves import alpha
+from .model import ModelSystem, Point, _window_power, apply_linear, apply_phi, signed_power
+from .numerics import _bisect, _NoSignChange
 from .rects import build_sn, fold_point
 
 __all__ = [
@@ -86,14 +78,9 @@ def pick_rn(sys: ModelSystem, n: int) -> Point:
 def _fundamental_exponent(sys: ModelSystem, x: float) -> int:
     """Unique m >= 0 with x * mu^m in (|mu|^-1, 1], for x in (0, 1]."""
     lo = 1.0 / abs(sys.mu)
-    log_mu = math.log(abs(sys.mu))
-    base = int(math.floor(-math.log(x) / log_mu)) if x < 1.0 else 0
-    # The log estimate can be off by one or two ulps' worth of steps near the
-    # half-open boundary; settle it by direct multiplication.
-    for m in range(max(base - 2, 0), base + 3):
-        v = _scale_power(x, sys.mu, m)
-        if lo < v <= 1.0:
-            return m
+    m = _window_power(x, sys.mu, lo, 1.0, 0)
+    if m is not None:
+        return m
     raise NotFoundError(
         f"no exponent brought x={x:.17g} into ({lo:.6f}, 1]; "
         "sign alternation of mu < 0 can leave the domain unreachable"
@@ -226,9 +213,6 @@ class ConjugacyPair:
     def h(self, point: Point) -> Point:
         return (self.h_scale[0] * point[0], self.h_scale[1] * point[1])
 
-    def h_inv(self, point: Point) -> Point:
-        return (point[0] / self.h_scale[0], point[1] / self.h_scale[1])
-
 
 def conjugation_residual(pair: ConjugacyPair, grid: int = 7) -> float:
     """Max defect of phi_1(h(p)) = h(f^shift(phi_0(p))) over a grid in U(q).
@@ -265,26 +249,19 @@ def conjugate_system(sys: ModelSystem, shift: int) -> ModelSystem:
     mu_k = signed_power(mu, shift)
     h1 = tuple((i, j, coef * mu_k * signed_power(lam, j * shift)) for i, j, coef in t.h1_terms)
     h2 = tuple((i, j, coef * signed_power(lam, j * shift)) for i, j, coef in t.h2_terms)
-    transition = TransitionSpec(
+    transition = replace(
+        t,
         a=t.a * lm,
         b=t.b * lm,
         c=t.c * mu_k,
-        d=t.d,
         e=t.e * signed_power(lam, shift),
         m0=t.m0 + shift,
         h1_terms=h1,
         h2_terms=h2,
     )
     lift = signed_power(lam, -shift)
-    seed = SeedArc(sys.seed.domain, tuple(coef * lift for coef in sys.seed.coeffs))
-    return ModelSystem(
-        SaddleSpec(lam, mu),
-        transition,
-        seed,
-        sys.chart_half_width,
-        sys.uq_half_width,
-        sys.ur_half_width,
-    )
+    seed = replace(sys.seed, coeffs=tuple(coef * lift for coef in sys.seed.coeffs))
+    return replace(sys, transition=transition, seed=seed)
 
 
 _CONJUGACY_TOL = 1e-12
@@ -320,14 +297,7 @@ def mismatched_pair(sys: ModelSystem, lam_other: float) -> ConjugacyPair:
     """
     if abs(lam_other) >= 1.0 or lam_other == 0.0:
         raise DomainError("replacement contraction must satisfy 0 < |lam| < 1")
-    other = ModelSystem(
-        SaddleSpec(lam_other, sys.mu),
-        sys.transition,
-        sys.seed,
-        sys.chart_half_width,
-        sys.uq_half_width,
-        sys.ur_half_width,
-    )
+    other = replace(sys, saddle=replace(sys.saddle, lam=lam_other))
     return ConjugacyPair(sys, other, (1.0, 1.0), 0)
 
 
@@ -374,25 +344,11 @@ def _branch_x_range(curve, lo: float, hi: float) -> tuple[float, float]:
 
 def _branch_y_at(curve, lo: float, hi: float, x: float) -> float:
     """Height of an x-monotone parameterized branch over abscissa x."""
-    f_lo = curve(lo)[0] - x
-    f_hi = curve(hi)[0] - x
-    if f_lo == 0.0:
-        return curve(lo)[1]
-    if f_hi == 0.0:
-        return curve(hi)[1]
-    if math.copysign(1.0, f_lo) == math.copysign(1.0, f_hi):
-        raise NumericError(f"abscissa {x:.6g} not bracketed on the branch", residual=min(abs(f_lo), abs(f_hi)))
-    a, b, fa = lo, hi, f_lo
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        fm = curve(mid)[0] - x
-        if fm == 0.0 or abs(b - a) <= 1e-15 * (1.0 + abs(mid)):
-            return curve(mid)[1]
-        if math.copysign(1.0, fm) == math.copysign(1.0, fa):
-            a, fa = mid, fm
-        else:
-            b = mid
-    return curve(0.5 * (a + b))[1]
+    try:
+        t = _bisect(lambda t: curve(t)[0] - x, lo, hi, xtol=1e-15)
+    except _NoSignChange as exc:
+        raise NumericError(f"abscissa {x:.6g} not bracketed on the branch", residual=exc.residual) from None
+    return curve(t)[1]
 
 
 def intersection_check(pair: ConjugacyPair, n: int, tol: float = 1e-9) -> bool:

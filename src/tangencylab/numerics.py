@@ -1,7 +1,9 @@
-"""Small shared numerics: guarded Newton iteration with bisection fallback."""
+"""Small shared numerics: guarded Newton iteration and the bracketed bisection
+behind every root search of the package."""
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 from .errors import NumericError
@@ -39,7 +41,7 @@ def solve_newton(
         if lo is not None and not (lo <= nxt <= hi):
             break
         if nxt == x:
-            return x if abs(fx) <= tol else _bisect_or_fail(f, lo, hi, tol, fx)
+            return _bisect_or_fail(f, lo, hi, tol, fx)
         x = nxt
     residual = f(x)
     if abs(residual) <= tol:
@@ -48,25 +50,55 @@ def solve_newton(
 
 
 def _bisect_or_fail(f, lo, hi, tol, last_residual) -> float:
+    """The bisection fallback of :func:`solve_newton`; errors carry the
+    residual Newton stopped at."""
     if lo is None:
         raise NumericError("Newton iteration failed and no bracket was given", residual=abs(last_residual))
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
+    try:
+        return _bisect(f, lo, hi, tol=tol)
+    except _NoSignChange:
+        raise NumericError(
+            "no sign change in bracket for bisection fallback", residual=abs(last_residual)
+        ) from None
+
+
+class _NoSignChange(NumericError):
+    """f takes the same sign at both ends of the bracket; callers re-raise
+    it with their own description of what was not bracketed."""
+
+
+def _bisect(f, lo: float, hi: float, *, tol: float = 0.0, xtol: float = 0.0) -> float:
+    """Root of f in the bracket [lo, hi] by bisection.
+
+    An end where f is exactly 0 is returned as is; ends where f has the same
+    sign raise _NoSignChange with the smaller end residual.  The midpoint t
+    is returned as soon as |f(t)| <= tol or the bracket it halves is at most
+    xtol * (1 + |t|) wide.  A bracket that can no longer be halved (or 200
+    halvings) ends the search: with tol = 0 its midpoint is the root to
+    machine precision, with tol > 0 it raises NumericError with the residual
+    there.  Signs are compared, never multiplied, so tiny values cannot
+    underflow the test.
+    """
+    f_lo, f_hi = f(lo), f(hi)
+    if f_lo == 0.0:
         return lo
-    if fhi == 0.0:
+    if f_hi == 0.0:
         return hi
-    if flo * fhi > 0.0:
-        raise NumericError("no sign change in bracket for bisection fallback", residual=abs(last_residual))
+    sign_lo = math.copysign(1.0, f_lo)
+    if sign_lo == math.copysign(1.0, f_hi):
+        raise _NoSignChange("no sign change in bracket", residual=min(abs(f_lo), abs(f_hi)))
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if abs(fm) <= tol or mid == lo or mid == hi:
-            if abs(fm) <= tol:
-                return mid
+        if mid == lo or mid == hi:
             break
-        if flo * fm <= 0.0:
-            hi, fhi = mid, fm
+        f_mid = f(mid)
+        if abs(f_mid) <= tol or abs(hi - lo) <= xtol * (1.0 + abs(mid)):
+            return mid
+        if math.copysign(1.0, f_mid) == sign_lo:
+            lo = mid
         else:
-            lo, flo = mid, fm
+            hi = mid
     mid = 0.5 * (lo + hi)
-    raise NumericError("bisection stalled above tolerance", residual=abs(f(mid)))
+    if tol > 0.0:
+        raise NumericError("bisection stalled above tolerance", residual=abs(f(mid)))
+    return mid

@@ -33,6 +33,7 @@ from .model import (
     Point,
     Rect,
     _scale_power,
+    _window_power,
     apply_linear,
     apply_phi,
     chart_exit_index,
@@ -75,21 +76,14 @@ class SlopedPoint:
 
 
 def window_exponent(sys: ModelSystem, x: float) -> int:
-    """The unique k >= 1 with mu^k * x in ((1+eps)^2, (1+eps)^3].
-
-    Found from a log estimate plus a short correction scan so the boundary
-    cases are decided by the same float comparisons the membership tests use.
-    """
+    """The unique k >= 1 with mu^k * x in ((1+eps)^2, (1+eps)^3]."""
     if x == 0.0 or not math.isfinite(x):
         raise DomainError(f"cannot window x={x}")
     u = 1.0 + sys.epsilon
     lo, hi = u * u, u * u * u
-    est = (math.log(hi) - math.log(abs(x))) / math.log(abs(sys.mu))
-    base = int(math.floor(est))
-    for k in range(max(base - 4, 1), max(base + 5, 6)):
-        v = _scale_power(x, sys.mu, k)
-        if lo < v <= hi:
-            return k
+    k = _window_power(x, sys.mu, lo, hi, 1)
+    if k is not None:
+        return k
     raise NotFoundError(f"no iterate places {x:g} inside the window ({lo:g}, {hi:g}]")
 
 

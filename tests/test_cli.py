@@ -127,9 +127,9 @@ def test_report_is_deterministic(ref_config, tmp_path):
         assert (out_b / f.name).read_bytes() == f.read_bytes()
 
 
-def test_entry_point_runs():
+def test_entry_point_runs(tmp_path):
     proc = subprocess.run(
-        [sys.executable, "-m", "tangencylab.cli", "validate", "--config", str(CONFIG)],
+        [sys.executable, "-m", "tangencylab.cli", "validate", "--config", str(CONFIG), "--out", str(tmp_path)],
         capture_output=True,
         text=True,
         cwd=str(CONFIG.parent.parent),

@@ -1,0 +1,222 @@
+"""The shared numerical kernels: bisection, Newton with its fallback, the
+log-space power, the polynomial jet of phi and the window scan."""
+
+import math
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tangencylab import numerics
+from tangencylab.errors import NumericError
+from tangencylab.model import _DIRECT_POW_LIMIT, _poly, _scale_power, _window_power, signed_power
+from tangencylab.numerics import _bisect, solve_newton
+
+
+def _counted(f):
+    calls = []
+
+    def g(t):
+        calls.append(t)
+        return f(t)
+
+    return g, calls
+
+
+def _bits(v: float) -> bytes:
+    return struct.pack("<d", v)
+
+
+# -- bisection ----------------------------------------------------------------
+
+
+def test_bisect_rejects_unbracketed_root():
+    with pytest.raises(NumericError) as info:
+        _bisect(lambda t: t * t + 1.0, -1.0, 2.0)
+    assert info.value.residual == 2.0
+
+
+def test_bisect_returns_endpoint_roots_exactly():
+    f, calls = _counted(lambda t: t - 0.25)
+    assert _bisect(f, 0.25, 3.0) == 0.25
+    assert _bisect(f, -3.0, 0.25) == 0.25
+    assert len(calls) == 4  # the two ends of each bracket, nothing more
+
+
+def test_bisect_stops_at_residual_tolerance():
+    # Midpoints 1/2, 1/4, 3/8, ... of [0, 1]; the ninth, 0.333984375, is the
+    # first within 1e-3 of the root 1/3.
+    f, calls = _counted(lambda t: t - 1.0 / 3.0)
+    t = _bisect(f, 0.0, 1.0, tol=1e-3)
+    assert t == 0.333984375
+    assert len(calls) == 2 + 9
+
+
+def test_bisect_stops_at_bracket_width():
+    # The bracket halved at step i is 2^-i wide; 2^-20 is the first width at
+    # most 1e-6 * (1 + |t|) near t = 1/3, so the 21st midpoint is returned.
+    f, calls = _counted(lambda t: t - 1.0 / 3.0)
+    t = _bisect(f, 0.0, 1.0, xtol=1e-6)
+    assert len(calls) == 2 + 21
+    assert abs(t - 1.0 / 3.0) <= 2.0**-20
+
+
+def test_bisect_runs_until_the_bracket_cannot_be_halved():
+    # t*t - 2 has no floating-point zero, so only the collapse of the bracket
+    # onto two neighbouring doubles stops the search.
+    root = math.sqrt(2.0)
+    f, calls = _counted(lambda t: t * t - 2.0)
+    t = _bisect(f, 1.0, 2.0)
+    assert abs(t - root) <= math.ulp(root)
+    assert len(set(calls)) == len(calls)  # no midpoint evaluated twice
+    # With a residual tolerance the floor of |f| cannot reach, the collapse
+    # is a failure that reports the residual there.
+    with pytest.raises(NumericError, match="stalled") as info:
+        _bisect(lambda t: t * t - 2.0, 1.0, 2.0, tol=1e-20)
+    assert 0.0 < info.value.residual < 1e-15
+
+
+def test_bisect_compares_signs_without_underflow():
+    # f(lo) * f(mid) underflows to 0 here; comparing signs still halves the
+    # bracket towards the root at 0.6.
+    t = _bisect(lambda t: 1e-200 * (t - 0.6), 0.0, 1.0)
+    assert abs(t - 0.6) <= math.ulp(0.6)
+
+
+# -- Newton with bisection fallback ------------------------------------------
+
+
+def test_newton_falls_back_when_a_step_leaves_the_bracket(monkeypatch):
+    fallbacks = []
+    original = numerics._bisect_or_fail
+
+    def spy(*args):
+        fallbacks.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(numerics, "_bisect_or_fail", spy)
+
+    # From x0 = 3 the Newton step on atan(x - 1) lands at -2.5, outside the
+    # bracket, so the root must come from bisection.
+    def f(x):
+        return math.atan(x - 1.0)
+
+    def fprime(x):
+        return 1.0 / (1.0 + (x - 1.0) ** 2)
+
+    root = solve_newton(f, fprime, 3.0, tol=1e-12, bracket=(-2.0, 4.0))
+    assert len(fallbacks) == 1
+    assert abs(f(root)) <= 1e-12
+
+
+def test_newton_fallback_without_sign_change_reports_residual():
+    # Newton leaves [0, 1] from x0 = 0.5 and f has no sign change there; the
+    # error carries the residual Newton stopped at, f(0.5) = 1.25.
+    with pytest.raises(NumericError, match="no sign change") as info:
+        solve_newton(lambda x: x * x + 1.0, lambda x: 2.0 * x, 0.5, tol=1e-12, bracket=(0.0, 1.0))
+    assert info.value.residual == 1.25
+
+
+# -- log-space power ------------------------------------------------------------
+
+
+def _reference_signed_power(base: float, k: int) -> float:
+    """base**k written out on its own: direct for small |k|, log space with
+    saturation beyond."""
+    if k == 0:
+        return 1.0
+    if abs(k) <= _DIRECT_POW_LIMIT:
+        return base**k
+    sign = -1.0 if (base < 0.0 and k % 2 != 0) else 1.0
+    t = k * math.log(abs(base))
+    if t > 709.0:
+        return sign * math.inf
+    if t < -745.0:
+        return sign * 0.0
+    return sign * math.exp(t)
+
+
+@pytest.mark.parametrize("base", [0.3, -0.3, 1.02, -1.02])
+def test_signed_power_is_scale_power_of_one(base):
+    for k in list(range(-60, 61)) + [645, -645]:
+        expected = _bits(_reference_signed_power(base, k))
+        assert _bits(signed_power(base, k)) == expected, k
+        assert _bits(_scale_power(1.0, base, k)) == expected, k
+
+
+# -- polynomial jet ---------------------------------------------------------------
+
+TERMS = ((2, 3, 1.5), (4, 0, -0.7), (0, 2, 2.0), (1, 1, 0.3))
+
+
+def test_poly_partials_match_hand_derivatives():
+    x, y = 0.7, -1.3
+    # p = 1.5 x^2 y^3 - 0.7 x^4 + 2 y^2 + 0.3 x y
+    expected = {
+        (0, 0): 1.5 * x**2 * y**3 - 0.7 * x**4 + 2.0 * y**2 + 0.3 * x * y,
+        (1, 0): 3.0 * x * y**3 - 2.8 * x**3 + 0.3 * y,
+        (0, 1): 4.5 * x**2 * y**2 + 4.0 * y + 0.3 * x,
+        (2, 0): 3.0 * y**3 - 8.4 * x**2,
+        (1, 1): 9.0 * x * y**2 + 0.3,
+        (0, 2): 9.0 * x**2 * y + 4.0,
+        (2, 2): 18.0 * y,
+    }
+    for (dx, dy), value in expected.items():
+        assert _poly(TERMS, x, y, dx=dx, dy=dy) == pytest.approx(value, rel=1e-13, abs=1e-13), (dx, dy)
+
+
+def test_poly_rounds_like_the_written_out_partials():
+    # Derivative factors multiply the coefficient one at a time, so
+    # coef * i * (i - 1) rounds as written, not as coef * (i * (i - 1)):
+    # 0.7 * 6 * 5 and 0.1 * 3 * 3 each differ from the one-shot product.
+    x, y = 0.37, 1.9
+    terms = ((3, 3, 0.1), (6, 2, 0.7), (2, 3, 1.0 / 3.0), (5, 1, -0.7))
+    assert _poly(terms, x, y) == sum(c * x**i * y**j for i, j, c in terms)
+    assert _poly(terms, x, y, dx=1) == sum(c * i * x ** (i - 1) * y**j for i, j, c in terms if i > 0)
+    assert _poly(terms, x, y, dy=1) == sum(c * j * x**i * y ** (j - 1) for i, j, c in terms if j > 0)
+    assert _poly(terms, x, y, dx=2) == sum(c * i * (i - 1) * x ** (i - 2) * y**j for i, j, c in terms if i > 1)
+    assert _poly(terms, x, y, dx=1, dy=1) == sum(
+        c * i * j * x ** (i - 1) * y ** (j - 1) for i, j, c in terms if i > 0 and j > 0
+    )
+    assert _poly(terms, x, y, dy=2) == sum(c * j * (j - 1) * x**i * y ** (j - 2) for i, j, c in terms if j > 1)
+
+
+def test_poly_on_arrays_matches_scalars():
+    # numpy's array powers may round differently from Python's float pow.
+    xs = np.linspace(-0.3, 0.3, 7)
+    ys = np.linspace(0.0, 0.02, 7)
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    grid = _poly(TERMS, gx, gy)
+    for a in range(7):
+        for b in range(7):
+            assert grid[a, b] == pytest.approx(_poly(TERMS, float(xs[a]), float(ys[b])), rel=1e-14, abs=1e-18)
+    assert _poly((), 0.5, 0.5) == 0.0
+
+
+# -- window scan ------------------------------------------------------------------
+
+MU = 1.02
+U = 1.0 + (MU - 1.0)  # 1 + eps, as ModelSystem computes it
+WINDOWS = {
+    "return window": (U * U, U * U * U, 1),
+    "fundamental domain": (1.0 / MU, 1.0, 0),
+}
+
+
+def _brute_window(x: float, lo: float, hi: float, k_min: int) -> int | None:
+    for k in range(k_min, 3000):
+        if lo < _scale_power(x, MU, k) <= hi:
+            return k
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.floats(min_value=1e-12, max_value=10.0),
+    st.sampled_from(sorted(WINDOWS)),
+)
+def test_window_power_matches_brute_force_scan(x, window):
+    lo, hi, k_min = WINDOWS[window]
+    assert _window_power(x, MU, lo, hi, k_min) == _brute_window(x, lo, hi, k_min)
