@@ -24,9 +24,8 @@ def main():
 
     print("per-level exponents:")
     for n in (8, 10, 12):
-        S = tl.build_sn(sys, n)
         beta = tl.beta_arc(sys, n, 0.1)
-        print(f"  n={n:2d}: i_n={tl.i_n(sys, n, sn=S)}  "
+        print(f"  n={n:2d}: i_n={tl.i_n(sys, n)}  "
               f"beta j={beta.j}  t window [{beta.t_lo:.6e}, {beta.t_hi:.6e}]")
     print()
 

@@ -57,6 +57,7 @@ from .rects import (
     extended_params,
     first_valid_n,
     fold_point,
+    fold_rectangles,
     scaling_fit,
     vertical_params,
 )

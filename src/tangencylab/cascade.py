@@ -211,7 +211,7 @@ def build_b1(sys: ModelSystem, sn: SnRectangle) -> Box:
     starts as the y = 0 segment under S_n, padded by 25% of the width on
     each side so later cuts always stay inside its image.
     """
-    i = i_n(sys, sn.n, sn=sn)
+    i = i_n(sys, sn.n)
     r = sn.rect
     word = MapWord((("linear", i),))
     top = CurveHandle((r.x_lo, r.y_hi), (r.x_hi, r.y_hi), word)
@@ -407,7 +407,12 @@ def _empty_result(n: int) -> CascadeResult:
     return CascadeResult(n, (), (), (), (), (), 0, ())
 
 
-def run_cascade(sys: ModelSystem, n: int, *, max_depth: int = 32) -> CascadeResult:
+_MAX_DEPTH = 32
+_ARC_SAMPLES = 33
+_ARC_MAX_REFINE = 4
+
+
+def run_cascade(sys: ModelSystem, n: int) -> CascadeResult:
     """Full cascade at level n.
 
     Gated twice: the sign case must be adaptable with the fold on the
@@ -432,7 +437,7 @@ def run_cascade(sys: ModelSystem, n: int, *, max_depth: int = 32) -> CascadeResu
     sn = build_sn(sys, n)
     boxes = [build_b1(sys, sn)]
     exponents: list[int] = []
-    while len(boxes) < max_depth:
+    while len(boxes) < _MAX_DEPTH:
         try:
             _, u, nxt = cascade_step(sys, boxes[-1])
         except CascadeEnd:
@@ -469,15 +474,7 @@ def run_cascade(sys: ModelSystem, n: int, *, max_depth: int = 32) -> CascadeResu
     )
 
 
-def count_crossing_arcs(
-    sys: ModelSystem,
-    n: int,
-    box: Box,
-    *,
-    sn: SnRectangle | None = None,
-    samples: int = 33,
-    max_refine: int = 4,
-) -> int:
+def count_crossing_arcs(sys: ModelSystem, n: int, box: Box) -> int:
     """Number of fold branches whose image under the box's word crosses the
     box from one vertical side to the other.
 
@@ -487,7 +484,7 @@ def count_crossing_arcs(
     exact-touch at the tangency parameters cannot flip the count, and
     counted branches must also pass through the box's vertical band.
     """
-    S = sn if sn is not None else build_sn(sys, n)
+    S = build_sn(sys, n)
     word = box.word
     width = box.x_hi - box.x_lo
     if width <= 0.0:
@@ -508,7 +505,7 @@ def count_crossing_arcs(
         """Samples of the tracked branch, recursively split until every
         piece reads as x-monotone (the geometry guarantees it; sampling can
         alias near the fold)."""
-        ts = _lobatto(t0, t1, samples)
+        ts = _lobatto(t0, t1, _ARC_SAMPLES)
         pts = [track(float(t)) for t in ts]
         xs = [p[0] for p in pts]
         span = xs[-1] - xs[0]
@@ -516,9 +513,9 @@ def count_crossing_arcs(
         tol = 1e-12 * max(abs(span), 1e-300)
         if all((b - a) * direction >= -tol for a, b in zip(xs, xs[1:])):
             return pts
-        if depth >= max_refine:
+        if depth >= _ARC_MAX_REFINE:
             raise InconclusiveError(
-                f"branch not resolved as monotone after {max_refine} refinements; "
+                f"branch not resolved as monotone after {_ARC_MAX_REFINE} refinements; "
                 f"raise the sampling density"
             )
         mid = 0.5 * (t0 + t1)

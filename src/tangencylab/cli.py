@@ -45,7 +45,7 @@ from .moduli import (
     rescale_pair,
     return_record,
 )
-from .rects import build_sn, first_valid_n, scaling_fit
+from .rects import first_valid_n, fold_rectangles, level_range, scaling_fit
 from .reference import make_system
 from .returns import find_s_n0, slope_through_return
 
@@ -440,18 +440,13 @@ def cmd_leaves(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[dict]]:
     return results, assertions
 
 
-def _valid_range(sys: ModelSystem, n_range: tuple[int, int]) -> list[int]:
-    lo = max(n_range[0], first_valid_n(sys))
-    return [n for n in range(lo, min(n_range[1], sys.n_max) + 1)]
-
-
 def cmd_rects(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[dict]]:
     sys = cfg.system
     tol = cfg.tolerances
-    ns = _valid_range(sys, cfg.n_range)
+    sns = list(fold_rectangles(sys, *cfg.n_range))
+    ns = [S.n for S in sns]
     if len(ns) < 5:
         raise DomainError(f"need at least five valid levels in n_range, got {ns}")
-    sns = [build_sn(sys, n) for n in ns]
 
     rows = []
     for S in sns:
@@ -572,7 +567,7 @@ def cmd_cascade(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[dict]]:
     found = None
     for eps in cfg.eps_grid:
         sys_e = _system_for_eps(cfg.system, eps)
-        for n in range(cfg.n_range[0], min(cfg.n_range[1], sys_e.n_max) + 1):
+        for n in level_range(sys_e, *cfg.n_range):
             try:
                 res = run_cascade(sys_e, n)
             except (NoVerticalTangencyError, WindowExceededError):
@@ -580,9 +575,8 @@ def cmd_cascade(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[dict]]:
             if res.k0 == 0:
                 rows.append((eps, n, 0, "", "", "", "", ""))
                 break  # the gate is n-independent, this eps is hopeless
-            S = build_sn(sys_e, n)
             try:
-                arcs = [count_crossing_arcs(sys_e, n, box, sn=S) for box in res.boxes]
+                arcs = [count_crossing_arcs(sys_e, n, box) for box in res.boxes]
             except InconclusiveError:
                 arcs = None
             for k, box in enumerate(res.boxes):
@@ -662,7 +656,7 @@ def cmd_classify(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[dict]]:
 def cmd_moduli(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[dict]]:
     sys = cfg.system
     tol = cfg.tolerances
-    ns = list(range(cfg.n_range[0], min(cfg.n_range[1], sys.n_max) + 1))
+    ns = list(level_range(sys, *cfg.n_range))
     if len(ns) < 6:
         raise DomainError("moduli command needs at least six levels in n_range")
     records = [return_record(sys, n) for n in ns]
@@ -716,7 +710,7 @@ def cmd_moduli(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[dict]]:
 def cmd_conjugacy(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[dict]]:
     sys = cfg.system
     tol = cfg.tolerances
-    ns = list(range(cfg.n_range[0], min(cfg.n_range[1], sys.n_max) + 1))
+    ns = list(level_range(sys, *cfg.n_range))
     if len(ns) < 6:
         raise DomainError("conjugacy command needs at least six levels in n_range")
     shift = 1 if sys.lam > 0.0 else 2
@@ -733,7 +727,7 @@ def cmd_conjugacy(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[dict]]:
     rho1, _ = modulus_fit(pair_re.sys_1, ns)
     pair_gap = abs(rho1 - rho0) / abs(rho0)
 
-    ns_geom = _valid_range(sys, cfg.n_range)
+    ns_geom = [S.n for S in fold_rectangles(sys, *cfg.n_range)]
     inter_id = [intersection_check(pair_id, n) for n in ns_geom]
     inter_re = [intersection_check(pair_re, n) for n in ns_geom]
 
@@ -742,10 +736,8 @@ def cmd_conjugacy(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[dict]]:
     n_mism = max(first_valid_n(mism.sys_0), first_valid_n(mism.sys_1))
     inter_mism = intersection_check(mism, n_mism)
 
-    rows = [
-        (n, x0, x1, i_id, i_re)
-        for (n, (x0, x1), i_id, i_re) in zip(ns_geom, corr_re[-len(ns_geom):], inter_id, inter_re)
-    ]
+    corr_by_n = dict(zip(ns, corr_re))
+    rows = [(n, *corr_by_n[n], i_id, i_re) for n, i_id, i_re in zip(ns_geom, inter_id, inter_re)]
     _write_csv(out / "conjugacy.csv", ("n", "x_n", "x_n_conjugate", "intersect_identity", "intersect_rescale"), rows)
 
     results = {

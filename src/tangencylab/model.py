@@ -367,22 +367,20 @@ class ConditionReport:
     def ok(self) -> bool:
         return all(e.passed for e in self.entries)
 
-    def failed(self) -> list[str]:
-        return [e.name for e in self.entries if not e.passed]
-
     def add(self, name: str, passed: bool, measured: str, detail: str = "") -> None:
         self.entries.append(Condition(name, bool(passed), measured, detail))
 
 
-def tau_bounds(sys: ModelSystem, resolution: int = 256, region: Rect | None = None) -> tuple[float, float]:
+_TAU_RESOLUTION = 256
+
+
+def tau_bounds(sys: ModelSystem, region: Rect | None = None) -> tuple[float, float]:
     """Range of pr_x(phi) over the return rectangle, in units of eps^3.
 
     Returns (tau0, tau1) with tau0 * eps^3 <= pr_x(phi(R)) <= tau1 * eps^3.
     For the reference sign pattern the extremes sit at the rectangle corners
     and approach (c, a + 27c) as eps -> 0.
     """
-    if resolution < 2:
-        raise DomainError("grid resolution must be at least 2")
     eps = sys.epsilon
     if eps <= 0.0:
         raise DomainError("tau bounds need |mu| > 1")
@@ -390,8 +388,8 @@ def tau_bounds(sys: ModelSystem, resolution: int = 256, region: Rect | None = No
     for corner in rect.corners():
         if not sys.in_uq(corner):
             raise ChartExitError(f"return rectangle corner {corner} leaves U(q)")
-    xs = np.linspace(rect.x_lo, rect.x_hi, resolution) - 1.0
-    ys = np.linspace(rect.y_lo, rect.y_hi, resolution)
+    xs = np.linspace(rect.x_lo, rect.x_hi, _TAU_RESOLUTION) - 1.0
+    ys = np.linspace(rect.y_lo, rect.y_hi, _TAU_RESOLUTION)
     px = _phi_parts(sys, *np.meshgrid(xs, ys, indexing="ij"))[0]
     lo = float(px.min())
     hi = float(px.max())
@@ -406,7 +404,7 @@ def tau_bounds(sys: ModelSystem, resolution: int = 256, region: Rect | None = No
     return (lo / scale, hi / scale)
 
 
-def validate(sys: ModelSystem, resolution: int = 256) -> ConditionReport:
+def validate(sys: ModelSystem) -> ConditionReport:
     """Check the standing hypotheses and return a report (never raises for a
     merely invalid system; each failure is a named entry)."""
     from .cases import classify_system  # local import, cases depends on model
@@ -433,7 +431,7 @@ def validate(sys: ModelSystem, resolution: int = 256) -> ConditionReport:
     eps = sys.epsilon
     if rep.ok and eps > 0.0:
         try:
-            tau0, tau1 = tau_bounds(sys, resolution=resolution)
+            tau0, tau1 = tau_bounds(sys)
             rep.add(
                 "tau_upper",
                 tau1 < 1.0 / eps,

@@ -214,7 +214,10 @@ class ConjugacyPair:
         return (self.h_scale[0] * point[0], self.h_scale[1] * point[1])
 
 
-def conjugation_residual(pair: ConjugacyPair, grid: int = 7) -> float:
+_CONJUGACY_GRID = 7
+
+
+def conjugation_residual(pair: ConjugacyPair) -> float:
     """Max defect of phi_1(h(p)) = h(f^shift(phi_0(p))) over a grid in U(q).
 
     Sample offsets shrink with the scales so both sides stay inside their
@@ -225,8 +228,8 @@ def conjugation_residual(pair: ConjugacyPair, grid: int = 7) -> float:
     x_bound = 0.8 * sys0.uq_half_width * min(1.0, 1.0 / abs(hx))
     y_bound = 0.8 * sys0.uq_half_width * min(1.0, 1.0 / abs(hy))
     worst = 0.0
-    for dx in np.linspace(-x_bound, x_bound, grid):
-        for dy in np.linspace(-y_bound, y_bound, grid):
+    for dx in np.linspace(-x_bound, x_bound, _CONJUGACY_GRID):
+        for dy in np.linspace(-y_bound, y_bound, _CONJUGACY_GRID):
             p = (1.0 + float(dx), float(dy))
             left = apply_phi(sys1, pair.h(p))
             right = pair.h(apply_linear(sys0, apply_phi(sys0, p), pair.m0_shift))
@@ -351,13 +354,16 @@ def _branch_y_at(curve, lo: float, hi: float, x: float) -> float:
     return curve(t)[1]
 
 
-def intersection_check(pair: ConjugacyPair, n: int, tol: float = 1e-9) -> bool:
+_INTERSECTION_TOL = 1e-9
+
+
+def intersection_check(pair: ConjugacyPair, n: int) -> bool:
     """Does h(f^shift(gamma'_n of sys_0)) meet gamma'_n of sys_1?
 
     Both curves are split into their three x-monotone branches (left tail,
     hook, right tail); every branch pair with overlapping abscissa ranges is
     compared through the vertical offset, counting a sign change or an
-    offset within ``tol`` as an intersection.  The sampling is refined twice
+    offset within ``_INTERSECTION_TOL`` as an intersection.  The sampling is refined twice
     before giving up.  Disjoint abscissa ranges throughout mean the curves
     live at different depths and the answer is False.
     """
@@ -390,7 +396,7 @@ def intersection_check(pair: ConjugacyPair, n: int, tol: float = 1e-9) -> bool:
                 prev = None
                 for x in xs:
                     off = _branch_y_at(curve0, lo0, hi0, float(x)) - _branch_y_at(curve1, lo1, hi1, float(x))
-                    if abs(off) <= tol:
+                    if abs(off) <= _INTERSECTION_TOL:
                         return True
                     if prev is not None and math.copysign(1.0, off) != math.copysign(1.0, prev):
                         return True
@@ -430,18 +436,17 @@ def _probe_level(sys: ModelSystem, j: int) -> tuple[float, int, float]:
     return x_j, l_j, ratio
 
 
-def order_probe(sys: ModelSystem, j_range=range(0, 11)) -> OrderProbeReport:
+_PROBE_LEVELS = tuple(range(0, 11))
+
+
+def order_probe(sys: ModelSystem) -> OrderProbeReport:
     """Measure the tangency order from return exponents alone.
 
     Probes q from the positive unstable side at x_j = 0.1 * 2^-j, records
     the exponent l_j that returns phi(q + x_j e_1) to the fundamental
     domain, and checks that |mu|^-l_j scales like x_j^3.
     """
-    js = sorted(set(int(j) for j in j_range))
-    if len(js) < 4:
-        raise DomainError("order probe needs at least four levels")
-    if js[0] < 0:
-        raise DomainError("probe levels must be nonnegative")
+    js = _PROBE_LEVELS
     levels = [_probe_level(sys, j) for j in js]
     ratios = [r for _, _, r in levels]
     band_lo, band_hi = min(ratios), max(ratios)
@@ -453,7 +458,7 @@ def order_probe(sys: ModelSystem, j_range=range(0, 11)) -> OrderProbeReport:
     slack = 1.0 + 1e-9
     stable = max(ext_ratios) / min(ext_ratios) <= abs(sys.mu) * slack
     return OrderProbeReport(
-        j_values=tuple(js),
+        j_values=js,
         x_values=tuple(x for x, _, _ in levels),
         l_values=tuple(l for _, l, _ in levels),
         ratios=tuple(ratios),

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -36,6 +37,8 @@ __all__ = [
     "vertical_params",
     "extended_params",
     "build_sn",
+    "level_range",
+    "fold_rectangles",
     "first_valid_n",
     "scaling_fit",
 ]
@@ -199,10 +202,22 @@ class SnRectangle:
         return 0.0
 
 
-def build_sn(sys: ModelSystem, n: int, samples: int = 257) -> SnRectangle:
+_CURVE_SAMPLES = 257
+_SN_CACHE: dict[tuple[ModelSystem, int], SnRectangle] = {}
+
+
+def build_sn(sys: ModelSystem, n: int) -> SnRectangle:
     """Construct S_n: solve for the tangency pair and the caps, bound the
     curve piece between the caps, and sanity-check that the piece never
-    escapes the vertical strip between the tangencies."""
+    escapes the vertical strip between the tangencies.
+
+    Each S_n is built once per (system, n) and shared afterwards; systems
+    are frozen and compare by value, so an equal system built elsewhere gets
+    the same object.  A failed build is not stored and raises on every call.
+    """
+    S = _SN_CACHE.get((sys, n))
+    if S is not None:
+        return S
     t_minus, t_plus = vertical_params(sys, n)
     t_ext_minus, t_ext_plus = extended_params(sys, n, t_minus, t_plus)
     params = (t_ext_minus, t_minus, t_plus, t_ext_plus)
@@ -210,7 +225,7 @@ def build_sn(sys: ModelSystem, n: int, samples: int = 257) -> SnRectangle:
     x_lo = min(pts[1][0], pts[2][0])
     x_hi = max(pts[1][0], pts[2][0])
 
-    ts = np.linspace(t_ext_minus, t_ext_plus, samples)
+    ts = np.linspace(t_ext_minus, t_ext_plus, _CURVE_SAMPLES)
     curve = [fold_point(sys, n, float(t)) for t in ts]
     ys = [p[1] for p in curve] + [p[1] for p in pts]
     y_lo, y_hi = min(ys), max(ys)
@@ -228,7 +243,7 @@ def build_sn(sys: ModelSystem, n: int, samples: int = 257) -> SnRectangle:
         if not sys.in_ur(corner):
             raise DomainError(f"S_{n} sticks out of U(r): corner {corner}")
     rho = (t_ext_plus - t_plus) / abs(sys.lam) ** (0.5 * n)
-    return SnRectangle(
+    S = _SN_CACHE[sys, n] = SnRectangle(
         n=n,
         t_minus=t_minus,
         t_plus=t_plus,
@@ -238,18 +253,31 @@ def build_sn(sys: ModelSystem, n: int, samples: int = 257) -> SnRectangle:
         rho=rho,
         fold_points=pts,
     )
+    return S
 
 
-def first_valid_n(sys: ModelSystem, n_start: int = 1) -> int:
-    """Smallest n >= n_start whose fold rectangle is fully realized inside
-    the arc window.  Levels whose tangencies or caps do not fit are skipped;
-    so are levels with no real tangency pair (wrong parity for lam < 0)."""
-    for n in range(max(n_start, 1), sys.n_max + 1):
+def level_range(sys: ModelSystem, lo: int, hi: int) -> range:
+    """Levels lo..hi, cut at the resolvable depth ``sys.n_max``."""
+    return range(lo, min(hi, sys.n_max) + 1)
+
+
+def fold_rectangles(sys: ModelSystem, lo: int, hi: int) -> Iterator[SnRectangle]:
+    """S_n for each level of ``level_range(sys, lo, hi)`` whose fold
+    rectangle is fully realized inside the arc window.  Levels whose
+    tangencies or caps do not fit are skipped; so are levels with no real
+    tangency pair (the wrong parity for lam < 0)."""
+    for n in level_range(sys, lo, hi):
         try:
-            build_sn(sys, n)
+            S = build_sn(sys, n)
         except (NoVerticalTangencyError, WindowExceededError):
             continue
-        return n
+        yield S
+
+
+def first_valid_n(sys: ModelSystem) -> int:
+    """Smallest level that ``fold_rectangles`` realizes."""
+    for S in fold_rectangles(sys, 1, sys.n_max):
+        return S.n
     raise NotFoundError(f"no realizable fold rectangle up to n_max={sys.n_max}")
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from .model import (
     return_rectangle,
     signed_power,
 )
-from .rects import SnRectangle, build_sn, first_valid_n, fold_point, fold_x
+from .rects import build_sn, fold_point, fold_rectangles, fold_x
 from .numerics import solve_newton
 
 __all__ = [
@@ -129,9 +130,7 @@ def _rescale_slope(sys: ModelSystem, slope: float, k: int) -> float:
     return math.exp(t)
 
 
-def slope_through_return(
-    sys: ModelSystem, point: Point, slope: float, *, bound_check: bool = True
-) -> tuple[float, SlopedPoint]:
+def slope_through_return(sys: ModelSystem, point: Point, slope: float) -> tuple[float, SlopedPoint]:
     """Transport a direction of slope |dy/dx| through phi and the return.
 
     Returns (intermediate, returned): the slope right after phi (steep, since
@@ -155,7 +154,7 @@ def slope_through_return(
     returned = SlopedPoint(returned_point, _rescale_slope(sys, intermediate, k))
 
     eps = sys.epsilon
-    if bound_check and return_rectangle(eps).contains(point, tol=1e-12) and slope <= eps**2.5:
+    if return_rectangle(eps).contains(point, tol=1e-12) and slope <= eps**2.5:
         bound = eps**-2.5
         if not intermediate <= bound:
             raise SlopeLemmaCounterexample(
@@ -174,7 +173,7 @@ def slope_through_return(
     return intermediate, returned
 
 
-def i_n(sys: ModelSystem, n: int, *, sn: SnRectangle | None = None) -> int:
+def i_n(sys: ModelSystem, n: int) -> int:
     """Return exponent of the fold rectangle: the k windowing the right edge
     of S_n, checked to carry the whole rectangle back inside R_eps.
 
@@ -182,7 +181,7 @@ def i_n(sys: ModelSystem, n: int, *, sn: SnRectangle | None = None) -> int:
     is W_n * mu^k ~ lam^n mu^k, and the construction needs it commensurate
     with the unit scale rather than collapsed or blown up.
     """
-    S = sn if sn is not None else build_sn(sys, n)
+    S = build_sn(sys, n)
     if S.rect.x_hi <= 0.0:
         raise WrongQuadrantError(
             "fold rectangle sits at nonpositive abscissas: returns happen through the mirrored rectangle"
@@ -257,7 +256,7 @@ def _fold_velocity(sys: ModelSystem, n: int, t: float) -> tuple[float, float]:
     )
 
 
-def beta_arc(sys: ModelSystem, n: int, s: float, *, sn: SnRectangle | None = None) -> BetaArc:
+def beta_arc(sys: ModelSystem, n: int, s: float) -> BetaArc:
     """The returned branch crossing abscissas [0, s].
 
     The branch starts where the fold crosses the stable axis (or at the
@@ -266,7 +265,7 @@ def beta_arc(sys: ModelSystem, n: int, s: float, *, sn: SnRectangle | None = Non
     """
     if s <= 0.0:
         raise DomainError("abscissa cap s must be positive")
-    S = sn if sn is not None else build_sn(sys, n)
+    S = build_sn(sys, n)
     if S.rect.x_hi <= 0.0:
         raise WrongQuadrantError(
             "fold rectangle sits at nonpositive abscissas: use the mirrored machinery"
@@ -310,15 +309,10 @@ class JnSlopeReport:
     excluded: int
 
 
-def jn_slope_check(
-    sys: ModelSystem,
-    n: int,
-    s: float,
-    *,
-    n_samples: int = 200,
-    eps_target: float | None = None,
-    sn: SnRectangle | None = None,
-) -> JnSlopeReport:
+_JN_SAMPLES = 200
+
+
+def jn_slope_check(sys: ModelSystem, n: int, s: float, *, eps_target: float | None = None) -> JnSlopeReport:
     """Sample the returned branch and test |dy/dx| <= eps^(5/2) pointwise.
 
     Samples whose fold point lies inside S_n (the hook, where the tangent
@@ -326,18 +320,15 @@ def jn_slope_check(
     epsilon only rescales the threshold; the geometry stays at the system
     epsilon.
     """
-    if n_samples < 200:
-        raise DomainError("slope check needs at least 200 samples")
     eps = sys.epsilon if eps_target is None else float(eps_target)
     if eps <= 0.0:
         raise DomainError("eps_target must be positive")
     threshold = eps**2.5
-    S = sn if sn is not None else build_sn(sys, n)
-    beta = beta_arc(sys, n, s, sn=S)
+    beta = beta_arc(sys, n, s)
     ratio = math.log(abs(sys.lam)) - math.log(abs(sys.mu))
     max_slope = 0.0
     excluded = 0
-    for t in np.linspace(beta.t_lo, beta.t_hi, n_samples):
+    for t in np.linspace(beta.t_lo, beta.t_hi, _JN_SAMPLES):
         p = fold_point(sys, n, float(t))
         if beta.s_n_minus <= p[0] <= beta.s_n_plus:
             excluded += 1
@@ -356,7 +347,7 @@ def jn_slope_check(
         threshold=threshold,
         max_slope=max_slope,
         passed=bool(max_slope <= threshold),
-        samples=n_samples,
+        samples=_JN_SAMPLES,
         excluded=excluded,
     )
 
@@ -369,19 +360,6 @@ class SlopeSearchResult:
     n0: int
     levels: tuple[int, ...]
     reports: tuple[JnSlopeReport, ...]
-
-
-def _valid_levels(sys: ModelSystem, start: int, count: int) -> list[int]:
-    out: list[int] = []
-    for n in range(start, sys.n_max + 1):
-        try:
-            build_sn(sys, n)
-        except (NoVerticalTangencyError, WindowExceededError):
-            continue
-        out.append(n)
-        if len(out) == count:
-            break
-    return out
 
 
 def find_s_n0(
@@ -402,10 +380,10 @@ def find_s_n0(
             f"expansion too strong for slope certification: |mu|^(3/2)|lam| = "
             f"{abs(sys.mu) ** 1.5 * abs(sys.lam):.4g} >= 1"
         )
-    n0 = first_valid_n(sys)
-    levels = _valid_levels(sys, n0, 3)
+    levels = [S.n for S in islice(fold_rectangles(sys, 1, sys.n_max), 3)]
     if len(levels) < 3:
-        raise NotFoundError(f"fewer than three realizable levels above n={n0}")
+        raise NotFoundError(f"fewer than three realizable levels up to n_max={sys.n_max}: {levels}")
+    n0 = levels[0]
     for s in s_grid:
         reports = []
         try:

@@ -56,7 +56,7 @@ def test_three_crossing_arcs_per_box(ref, cascade12):
 
 def test_crossing_arcs_level_10(ref, sn10):
     b1 = build_b1(ref, sn10)
-    assert tl.count_crossing_arcs(ref, 10, b1, sn=sn10) == 3
+    assert tl.count_crossing_arcs(ref, 10, b1) == 3
 
 
 def test_cascade_step_geometry(ref):

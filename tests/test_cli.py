@@ -107,6 +107,19 @@ def test_main_argv_roundtrip(ref_config, tmp_path):
     assert (out / "cases.csv").exists()
 
 
+def test_rects_negative_lambda_uses_even_levels(tmp_path):
+    # lam < 0 has a tangency pair only at even n; the odd levels are skipped
+    raw = json.loads(CONFIG.read_text())
+    raw["system"]["lambda"] = -0.3
+    out = tmp_path / "out"
+    assert run(_write(tmp_path, raw), "rects", out_dir=str(out)) == 0
+    rep = json.loads((out / "report.json").read_text())
+    section = rep["commands"]["rects"]
+    assert section["results"]["levels"] == [8, 10, 12, 14, 16, 18]
+    assert [a["name"] for a in section["assertions"]] == ["width_exponent", "height_exponent", "dist_exponent", "root_ratio"]
+    assert all(a["passed"] for a in section["assertions"])
+
+
 def test_rects_artifacts(ref_config, tmp_path):
     out = tmp_path / "out"
     assert run(ref_config, "rects", out_dir=str(out)) == 0

@@ -7,6 +7,7 @@ from tangencylab.rects import (
     build_sn,
     first_valid_n,
     fold_point,
+    fold_rectangles,
     fold_x_d1,
     scaling_fit,
     vertical_params,
@@ -18,8 +19,27 @@ def test_first_valid_level(ref):
 
 
 def test_too_small_level_rejected(ref):
-    with pytest.raises(tl.WindowExceededError):
-        build_sn(ref, 3)
+    # a failed build is not memoized: it raises again on every call
+    for _ in range(3):
+        with pytest.raises(tl.WindowExceededError):
+            build_sn(ref, 3)
+
+
+def test_build_sn_shared_by_equal_systems(ref):
+    assert build_sn(ref, 10) is build_sn(tl.make_system(), 10)
+
+
+def test_fold_rectangles_walks_the_valid_levels(ref):
+    assert [S.n for S in fold_rectangles(ref, 8, 18)] == list(range(8, 19))
+    # the walker stops at n_max whatever the upper bound asked for
+    assert [S.n for S in fold_rectangles(ref, 20, 99)] == list(range(20, ref.n_max + 1))
+
+
+def test_fold_rectangles_keeps_the_adaptable_parity():
+    # for lam < 0 only one parity of n has a real tangency pair
+    sys = tl.make_system(lam=-0.3)
+    assert tl.classify_system(sys)[1].n_parity == "even"
+    assert [S.n for S in fold_rectangles(sys, 8, 18)] == [8, 10, 12, 14, 16, 18]
 
 
 def test_vertical_tangency_parameters(sn10):

@@ -48,12 +48,12 @@ def test_window_rejects_mirrored_return(ref):
         u0(ref, (1.0, -0.2))
 
 
-def test_fold_rectangle_exponent(ref, sn10):
-    assert i_n(ref, 10, sn=sn10) == 645
+def test_fold_rectangle_exponent(ref):
+    assert i_n(ref, 10) == 645
 
 
-def test_beta_arc_frozen_level_10(ref, sn10):
-    beta = beta_arc(ref, 10, 0.1, sn=sn10)
+def test_beta_arc_frozen_level_10(ref):
+    beta = beta_arc(ref, 10, 0.1)
     assert beta.j == 646
     assert beta.t_lo == pytest.approx(-0.01441449169006341, rel=1e-12)
     assert beta.t_hi == pytest.approx(-0.013951334821161416, rel=1e-12)
@@ -79,8 +79,8 @@ def test_vertical_input_slope_rejected(ref):
         slope_through_return(ref, (ref.mu, 0.0), VERTICAL)
 
 
-def test_jn_slope_check_frozen_level_10(ref, sn10):
-    rep = jn_slope_check(ref, 10, 0.1, sn=sn10)
+def test_jn_slope_check_frozen_level_10(ref):
+    rep = jn_slope_check(ref, 10, 0.1)
     assert rep.passed
     assert rep.max_slope == 0.0
     assert rep.excluded == 0
