@@ -158,8 +158,14 @@ def _lobatto(lo: float, hi: float, count: int) -> np.ndarray:
     return lo + (hi - lo) * 0.5 * (1.0 - np.cos(np.pi * js / (count - 1)))
 
 
-def _assert_x_monotone(sys: ModelSystem, handle: CurveHandle, count: int = 33) -> None:
-    xs = [handle.eval(sys, float(s))[0] for s in _lobatto(handle.s_lo, handle.s_hi, count)]
+# Lobatto sample counts of the monotonicity check, edge scans and box fibers.
+_MONOTONE_SAMPLES = 33
+_EDGE_SAMPLES = 65
+_FIBER_SAMPLES = 33
+
+
+def _assert_x_monotone(sys: ModelSystem, handle: CurveHandle) -> None:
+    xs = [handle.eval(sys, float(s))[0] for s in _lobatto(handle.s_lo, handle.s_hi, _MONOTONE_SAMPLES)]
     span = xs[-1] - xs[0]
     if span == 0.0:
         raise NumericError("edge image collapsed to a single abscissa")
@@ -225,16 +231,16 @@ def build_b1(sys: ModelSystem, sn: SnRectangle) -> Box:
     return box
 
 
-def _edge_extreme_ys(sys: ModelSystem, handle: CurveHandle, count: int = 65) -> tuple[float, float]:
+def _edge_extreme_ys(sys: ModelSystem, handle: CurveHandle) -> tuple[float, float]:
     """(min_y, max_y) over the handle, Lobatto-sampled with one refinement
     pass around each extremum."""
-    ss = _lobatto(handle.s_lo, handle.s_hi, count)
+    ss = _lobatto(handle.s_lo, handle.s_hi, _EDGE_SAMPLES)
     ys = [handle.eval(sys, float(s))[1] for s in ss]
 
     def refine(idx: int, pick) -> float:
         lo = float(ss[max(idx - 1, 0)])
-        hi = float(ss[min(idx + 1, count - 1)])
-        sub = [handle.eval(sys, float(s))[1] for s in _lobatto(lo, hi, count)]
+        hi = float(ss[min(idx + 1, _EDGE_SAMPLES - 1)])
+        sub = [handle.eval(sys, float(s))[1] for s in _lobatto(lo, hi, _EDGE_SAMPLES)]
         return pick(sub)
 
     return (
@@ -250,7 +256,7 @@ def _edge_extreme_ys(sys: ModelSystem, handle: CurveHandle, count: int = 65) -> 
 _FIBER_RESOLUTION = 1e-9
 
 
-def _fiber_metrics(sys: ModelSystem, box: Box, count: int = 33) -> tuple[float, float]:
+def _fiber_metrics(sys: ModelSystem, box: Box) -> tuple[float, float]:
     """(max fiber length, max fiber gap) over the box abscissas.
 
     A fiber is the intersection of the box with a vertical line: its length
@@ -277,15 +283,15 @@ def _fiber_metrics(sys: ModelSystem, box: Box, count: int = 33) -> tuple[float, 
         return (0.0 if length <= floor else length,
                 0.0 if gap <= floor else gap)
 
-    xs = _lobatto(box.x_lo + inset, box.x_hi - inset, count)
+    xs = _lobatto(box.x_lo + inset, box.x_hi - inset, _FIBER_SAMPLES)
     data = [fiber(float(x)) for x in xs]
 
     def refined(select) -> float:
         values = [select(d) for d in data]
         idx = int(np.argmax(values))
         lo = float(xs[max(idx - 1, 0)])
-        hi = float(xs[min(idx + 1, count - 1)])
-        sub = [select(fiber(float(x))) for x in _lobatto(lo, hi, count)]
+        hi = float(xs[min(idx + 1, _FIBER_SAMPLES - 1)])
+        sub = [select(fiber(float(x))) for x in _lobatto(lo, hi, _FIBER_SAMPLES)]
         return max(max(values), max(sub))
 
     return refined(lambda d: d[0]), refined(lambda d: d[1])
@@ -300,11 +306,11 @@ def box_metrics(sys: ModelSystem, box: Box) -> tuple[float, float, float]:
     return box.x_hi - box.x_lo, height, gap
 
 
-def max_edge_slope(sys: ModelSystem, box: Box, count: int = 65) -> float:
+def max_edge_slope(sys: ModelSystem, box: Box) -> float:
     """Largest |dy/dx| between consecutive samples of the two long edges."""
     worst = 0.0
     for handle in (box.top, box.bottom):
-        pts = [handle.eval(sys, float(s)) for s in _lobatto(handle.s_lo, handle.s_hi, count)]
+        pts = [handle.eval(sys, float(s)) for s in _lobatto(handle.s_lo, handle.s_hi, _EDGE_SAMPLES)]
         for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
             if x1 == x0:
                 if y1 != y0:
@@ -533,9 +539,4 @@ def count_crossing_arcs(sys: ModelSystem, n: int, box: Box) -> int:
                 return False
         return True
 
-    branches = (
-        (S.t_ext_minus, S.t_minus),
-        (S.t_minus, S.t_plus),
-        (S.t_plus, S.t_ext_plus),
-    )
-    return sum(1 for t0, t1 in branches if branch_crosses(t0, t1))
+    return sum(1 for t0, t1 in S.branches if branch_crosses(t0, t1))

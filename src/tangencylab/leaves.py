@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .model import ModelSystem, Point, _phi_parts, _poly, signed_power
+from .model import _MEMBERSHIP_TOL, ModelSystem, Point, _phi_jacobian, _phi_parts, _poly, signed_power
 from .numerics import solve_newton
 
 __all__ = [
@@ -56,41 +56,37 @@ class SeedArc:
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
         if self.z0 <= 0.0:
             raise DomainError("seed must cross the stable axis at positive height")
-        grid = np.linspace(lo, hi, 2001)
-        if np.polyval(self.coeffs[::-1], grid).min() <= 0.0:
+        if self.eval(np.linspace(lo, hi, 2001))[0].min() <= 0.0:
             raise DomainError("seed arc must be positive on its whole domain")
 
     @property
     def z0(self) -> float:
         return self.coeffs[0]
 
-    def eval(self, x: float) -> float:
-        return float(np.polyval(self.coeffs[::-1], x))
+    def eval(self, x: float, order: int = 0) -> tuple[float, ...]:
+        """(y0(x), y0'(x), ..., the order-th derivative) in one Horner loop.
 
-    def eval_d1(self, x: float) -> float:
-        if len(self.coeffs) < 2:
-            return 0.0
-        deriv = tuple(i * c for i, c in enumerate(self.coeffs))[1:]
-        return float(np.polyval(deriv[::-1], x))
+        Each entry runs Horner's rule over the differentiated coefficients
+        i!/(i-k)! * c_i, so it rounds exactly as np.polyval on them does.
+        ``x`` may be a numpy array.
+        """
+        acc = [0.0] * (order + 1)
+        for i in range(len(self.coeffs) - 1, -1, -1):
+            for k in range(min(order, i) + 1):
+                acc[k] = acc[k] * x + math.perm(i, k) * self.coeffs[i]
+        return tuple(acc)
 
-    def eval_d2(self, x: float) -> float:
-        if len(self.coeffs) < 3:
-            return 0.0
-        d2 = tuple(i * (i - 1) * c for i, c in enumerate(self.coeffs))[2:]
-        return float(np.polyval(d2[::-1], x))
-
-    def contains(self, x: float, tol: float = 1e-12) -> bool:
-        return self.domain[0] - tol <= x <= self.domain[1] + tol
+    def contains(self, x: float) -> bool:
+        return self.domain[0] - _MEMBERSHIP_TOL <= x <= self.domain[1] + _MEMBERSHIP_TOL
 
 
 @dataclass(frozen=True)
 class ArcPoint:
-    """A point of the n-th image arc together with the graph derivative."""
+    """A point of the n-th image arc."""
 
     n: int
     t: float
     point: Point
-    dy_dt: float
 
 
 def t_window(sys: ModelSystem) -> tuple[float, float]:
@@ -99,20 +95,17 @@ def t_window(sys: ModelSystem) -> tuple[float, float]:
     return (u**-3 - 1.0, u**3 - 1.0)
 
 
+def _arc_jet(sys: ModelSystem, n: int, t: float, order: int) -> tuple[float, ...]:
+    """(y_n, dy_n/dt, ...) up to ``order`` at parameter t, from one pullback
+    x = mu^-n (t + 1) of the seed; the k-th derivative carries mu^-kn."""
+    s = signed_power(sys.mu, -n)
+    lam_n = signed_power(sys.lam, n)
+    return tuple(lam_n * s**k * dk for k, dk in enumerate(sys.seed.eval(float(s * (t + 1.0)), order)))
+
+
 def arc_height(sys: ModelSystem, n: int, t: float) -> float:
     """y-level of the n-th arc at parameter t (may underflow to 0 for deep n)."""
-    x_seed = signed_power(sys.mu, -n) * (t + 1.0)
-    return signed_power(sys.lam, n) * sys.seed.eval(x_seed)
-
-
-def arc_height_d1(sys: ModelSystem, n: int, t: float) -> float:
-    x_seed = signed_power(sys.mu, -n) * (t + 1.0)
-    return signed_power(sys.lam, n) * signed_power(sys.mu, -n) * sys.seed.eval_d1(x_seed)
-
-
-def arc_height_d2(sys: ModelSystem, n: int, t: float) -> float:
-    x_seed = signed_power(sys.mu, -n) * (t + 1.0)
-    return signed_power(sys.lam, n) * signed_power(sys.mu, -n) ** 2 * sys.seed.eval_d2(x_seed)
+    return _arc_jet(sys, n, t, 0)[0]
 
 
 def alpha(sys: ModelSystem, n: int, t: float) -> ArcPoint:
@@ -120,12 +113,12 @@ def alpha(sys: ModelSystem, n: int, t: float) -> ArcPoint:
     if n < 0:
         raise DomainError("arc index must be nonnegative")
     lo, hi = t_window(sys)
-    if not (lo - 1e-12 <= t <= hi + 1e-12):
+    if not (lo - _MEMBERSHIP_TOL <= t <= hi + _MEMBERSHIP_TOL):
         raise DomainError(f"t={t:g} outside arc window [{lo:g}, {hi:g}]")
     x_seed = signed_power(sys.mu, -n) * (t + 1.0)
     if not sys.seed.contains(x_seed):
         raise DomainError(f"arc preimage {x_seed:g} outside the seed domain")
-    return ArcPoint(n, t, (t + 1.0, arc_height(sys, n, t)), arc_height_d1(sys, n, t))
+    return ArcPoint(n, t, (t + 1.0, arc_height(sys, n, t)))
 
 
 def stable_leaf_v(sys: ModelSystem, x: float) -> float:
@@ -147,7 +140,7 @@ def stable_leaf_v(sys: ModelSystem, x: float) -> float:
         return _phi_parts(sys, x, y)[0]
 
     def fprime(y: float) -> float:
-        return t.a + t.b * x + _poly(t.h1_terms, x, y, dy=1)
+        return _phi_jacobian(sys, x, y)[0][1]
 
     tol = 1e-14 * max(abs(t.c * x**3), 1e-300)
     half = max(8.0 * abs(seed), 1e-12)
@@ -172,7 +165,7 @@ def unstable_leaf_w(sys: ModelSystem, y_offset: float) -> float:
         return t.d * u + _poly(t.h2_terms, u, 0.0) - y_offset
 
     def fprime(u: float) -> float:
-        return t.d + _poly(t.h2_terms, u, 0.0, dx=1)
+        return _phi_jacobian(sys, u, 0.0)[1][0]
 
     seed = y_offset / t.d
     tol = 1e-14 * max(abs(y_offset), 1e-300)
@@ -180,7 +173,7 @@ def unstable_leaf_w(sys: ModelSystem, y_offset: float) -> float:
     u = solve_newton(f, fprime, seed, tol=tol, bracket=(seed - half, seed + half))
     if abs(u) > sys.uq_half_width:
         raise DomainError("leaf parameter left U(q)")
-    return t.c * u**3 + _poly(t.h1_terms, u, 0.0)
+    return _phi_parts(sys, u, 0.0)[0]
 
 
 def tangency_samples(sys: ModelSystem, xs) -> list[tuple[float, float]]:

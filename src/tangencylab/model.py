@@ -62,6 +62,10 @@ _H2_FORBIDDEN = {(0, 0), (1, 0), (0, 1)}
 # the exponent products move to log space.
 _DIRECT_POW_LIMIT = 50
 
+# Slack of every membership test (charts, rectangles, the seed domain), so a
+# point computed on a boundary is not rejected by its last bit.
+_MEMBERSHIP_TOL = 1e-12
+
 
 def signed_power(base: float, k: int) -> float:
     """base**k for integer k, stable for |k| in the hundreds.
@@ -176,12 +180,10 @@ class Rect:
             (self.x_hi, self.y_lo),
         ]
 
-    def contains(self, point: Point, tol: float = 0.0) -> bool:
+    def contains(self, point: Point) -> bool:
         x, y = point
-        return (
-            self.x_lo - tol <= x <= self.x_hi + tol
-            and self.y_lo - tol <= y <= self.y_hi + tol
-        )
+        tol = _MEMBERSHIP_TOL
+        return self.x_lo - tol <= x <= self.x_hi + tol and self.y_lo - tol <= y <= self.y_hi + tol
 
 
 def return_rectangle(epsilon: float) -> Rect:
@@ -240,16 +242,16 @@ class ModelSystem:
         rectangle metrics lose too many digits to cancellation."""
         return int(math.floor(2.0 * math.log(1e-6) / math.log(abs(self.lam))))
 
-    def in_chart(self, point: Point, tol: float = 1e-12) -> bool:
-        w = self.chart_half_width + tol
+    def in_chart(self, point: Point) -> bool:
+        w = self.chart_half_width + _MEMBERSHIP_TOL
         return abs(point[0]) <= w and abs(point[1]) <= w
 
-    def in_uq(self, point: Point, tol: float = 1e-12) -> bool:
-        w = self.uq_half_width + tol
+    def in_uq(self, point: Point) -> bool:
+        w = self.uq_half_width + _MEMBERSHIP_TOL
         return abs(point[0] - 1.0) <= w and abs(point[1]) <= w
 
-    def in_ur(self, point: Point, tol: float = 1e-12) -> bool:
-        w = self.ur_half_width + tol
+    def in_ur(self, point: Point) -> bool:
+        w = self.ur_half_width + _MEMBERSHIP_TOL
         return abs(point[0]) <= w and abs(point[1] - 1.0) <= w
 
 
@@ -324,27 +326,28 @@ def apply_phi(sys: ModelSystem, point: Point) -> Point:
     return _phi_parts(sys, point[0] - 1.0, point[1])
 
 
+def _phi_jacobian(sys: ModelSystem, x: float, y: float) -> tuple[Point, Point]:
+    """First partials ((Fx, Fy), (Gx, Gy)) of phi = (F, G) at the local
+    offsets (x, y) from q.  The one written copy of them."""
+    t = sys.transition
+    return (
+        (t.b * y + 3.0 * t.c * x**2 + _poly(t.h1_terms, x, y, dx=1), t.a + t.b * x + _poly(t.h1_terms, x, y, dy=1)),
+        (t.d + _poly(t.h2_terms, x, y, dx=1), t.e + _poly(t.h2_terms, x, y, dy=1)),
+    )
+
+
 def jacobian_phi(sys: ModelSystem, point: Point) -> np.ndarray:
     """Exact 2x2 Jacobian of phi at ``point`` (chart coordinates)."""
     if not sys.in_uq(point):
         raise DomainError(f"point {point} outside U(q)")
-    t = sys.transition
-    x = point[0] - 1.0
-    y = point[1]
-    return np.array(
-        [
-            [t.b * y + 3.0 * t.c * x**2 + _poly(t.h1_terms, x, y, dx=1), t.a + t.b * x + _poly(t.h1_terms, x, y, dy=1)],
-            [t.d + _poly(t.h2_terms, x, y, dx=1), t.e + _poly(t.h2_terms, x, y, dy=1)],
-        ]
-    )
+    return np.array(_phi_jacobian(sys, point[0] - 1.0, point[1]))
 
 
 def phi_x_derivatives(sys: ModelSystem, x: float, y: float) -> tuple[float, float, float, float, float]:
     """First and second partials of pr_x(phi) in local offsets (x, y):
     (Fx, Fy, Fxx, Fxy, Fyy).  Used by the vertical tangency solver."""
     t = sys.transition
-    fx = t.b * y + 3.0 * t.c * x**2 + _poly(t.h1_terms, x, y, dx=1)
-    fy = t.a + t.b * x + _poly(t.h1_terms, x, y, dy=1)
+    fx, fy = _phi_jacobian(sys, x, y)[0]
     fxx = 6.0 * t.c * x + _poly(t.h1_terms, x, y, dx=2)
     fxy = t.b + _poly(t.h1_terms, x, y, dx=1, dy=1)
     fyy = _poly(t.h1_terms, x, y, dy=2)

@@ -17,7 +17,6 @@ import numpy as np
 
 from .cases import classify_system
 from .errors import DomainError, NotFoundError, NumericError, WrongQuadrantError
-from .leaves import alpha
 from .model import ModelSystem, Point, _window_power, apply_linear, apply_phi, signed_power
 from .numerics import _bisect, _NoSignChange
 from .rects import build_sn, fold_point
@@ -72,7 +71,7 @@ def pick_rn(sys: ModelSystem, n: int) -> Point:
     case, adapt = classify_system(sys)
     if not adapt.adaptable:
         raise DomainError(f"case {case.label} does not admit the return construction")
-    return apply_phi(sys, alpha(sys, n, 0.0).point)
+    return fold_point(sys, n, 0.0)
 
 
 def _fundamental_exponent(sys: ModelSystem, x: float) -> int:
@@ -380,12 +379,10 @@ def intersection_check(pair: ConjugacyPair, n: int) -> bool:
     def curve1(t: float) -> Point:
         return fold_point(sys1, n, t)
 
-    branches0 = [(s0.t_ext_minus, s0.t_minus), (s0.t_minus, s0.t_plus), (s0.t_plus, s0.t_ext_plus)]
-    branches1 = [(s1.t_ext_minus, s1.t_minus), (s1.t_minus, s1.t_plus), (s1.t_plus, s1.t_ext_plus)]
     for count in (65, 129, 257):
-        for lo0, hi0 in branches0:
+        for lo0, hi0 in s0.branches:
             xr0 = _branch_x_range(curve0, lo0, hi0)
-            for lo1, hi1 in branches1:
+            for lo1, hi1 in s1.branches:
                 xr1 = _branch_x_range(curve1, lo1, hi1)
                 x_lo = max(xr0[0], xr1[0])
                 x_hi = min(xr0[1], xr1[1])

@@ -10,6 +10,8 @@ from .errors import NumericError
 
 __all__ = ["solve_newton"]
 
+_MAX_NEWTON_STEPS = 60
+
 
 def solve_newton(
     f: Callable[[float], float],
@@ -18,7 +20,6 @@ def solve_newton(
     *,
     tol: float,
     bracket: tuple[float, float] | None = None,
-    max_iter: int = 60,
 ) -> float:
     """Root of f near x0 with |f(root)| <= tol.
 
@@ -29,7 +30,7 @@ def solve_newton(
     """
     x = float(x0)
     lo, hi = (None, None) if bracket is None else (min(bracket), max(bracket))
-    for _ in range(max_iter):
+    for _ in range(_MAX_NEWTON_STEPS):
         fx = f(x)
         if abs(fx) <= tol:
             return x

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator
 
 import numpy as np
@@ -24,14 +25,15 @@ from .errors import (
     NumericError,
     WindowExceededError,
 )
-from .leaves import alpha, arc_height, arc_height_d1, arc_height_d2, t_window
-from .model import ModelSystem, Point, Rect, _phi_parts, phi_x_derivatives
+from .leaves import _arc_jet, alpha, arc_height, t_window
+from .model import ModelSystem, Point, Rect, _phi_jacobian, _phi_parts, phi_x_derivatives
 from .numerics import solve_newton
 
 __all__ = [
     "SnRectangle",
     "fold_point",
     "fold_x",
+    "fold_velocity",
     "fold_x_d1",
     "fold_x_d2",
     "vertical_params",
@@ -45,9 +47,10 @@ __all__ = [
 
 
 def fold_point(sys: ModelSystem, n: int, t: float) -> Point:
-    """phi(alpha_n(t)), a point of the folded curve near r."""
-    p = alpha(sys, n, t).point
-    return _phi_parts(sys, p[0] - 1.0, p[1])
+    """phi(alpha_n(t)), a point of the folded curve near r, with alpha's
+    window and seed-domain checks.  phi is evaluated at the offset t itself,
+    so the abscissa is ``fold_x`` to the bit."""
+    return _phi_parts(sys, t, alpha(sys, n, t).point[1])
 
 
 def fold_x(sys: ModelSystem, n: int, t: float) -> float:
@@ -59,19 +62,23 @@ def fold_x(sys: ModelSystem, n: int, t: float) -> float:
     return _phi_parts(sys, t, arc_height(sys, n, t))[0]
 
 
+def fold_velocity(sys: ModelSystem, n: int, t: float) -> Point:
+    """Tangent (X'(t), Y'(t)) of the folded curve by the chain rule through
+    the arc graph; raw arithmetic like ``fold_x``."""
+    y, dy = _arc_jet(sys, n, t, 1)
+    (fx, fy), (gx, gy) = _phi_jacobian(sys, t, y)
+    return (fx + fy * dy, gx + gy * dy)
+
+
 def fold_x_d1(sys: ModelSystem, n: int, t: float) -> float:
-    """X'(t) by the chain rule through the arc graph."""
-    y = arc_height(sys, n, t)
-    dy = arc_height_d1(sys, n, t)
-    fx, fy, _, _, _ = phi_x_derivatives(sys, t, y)
-    return fx + fy * dy
+    """X'(t)."""
+    return fold_velocity(sys, n, t)[0]
 
 
 def fold_x_d2(sys: ModelSystem, n: int, t: float) -> float:
-    y = arc_height(sys, n, t)
-    dy = arc_height_d1(sys, n, t)
-    d2y = arc_height_d2(sys, n, t)
-    fx, fy, fxx, fxy, fyy = phi_x_derivatives(sys, t, y)
+    """X''(t), the derivative of X' = Fx + Fy * y'."""
+    y, dy, d2y = _arc_jet(sys, n, t, 2)
+    _, fy, fxx, fxy, fyy = phi_x_derivatives(sys, t, y)
     return fxx + 2.0 * fxy * dy + fyy * dy * dy + fy * d2y
 
 
@@ -104,13 +111,7 @@ def vertical_params(sys: ModelSystem, n: int) -> tuple[float, float]:
     # X' is a sum of terms of size |b*y| and 3|c|t^2; resolve its zero to
     # fourteen digits of that scale.
     tol = 1e-14 * (abs(tr.b * y0) + 3.0 * abs(tr.c) * radicand)
-
-    def g(t: float) -> float:
-        return fold_x_d1(sys, n, t)
-
-    def gp(t: float) -> float:
-        return fold_x_d2(sys, n, t)
-
+    g, gp = partial(fold_x_d1, sys, n), partial(fold_x_d2, sys, n)
     t_plus = solve_newton(g, gp, seed, tol=tol, bracket=(0.25 * seed, min(hi, 4.0 * seed)))
     t_minus = solve_newton(g, gp, -seed, tol=tol, bracket=(max(lo, -4.0 * seed), -0.25 * seed))
     if not (t_minus < 0.0 < t_plus):
@@ -137,15 +138,10 @@ def extended_params(sys: ModelSystem, n: int, t_minus: float, t_plus: float) -> 
     return t_ext_minus, t_ext_plus
 
 
-def _match_abscissa(
-    sys: ModelSystem,
-    n: int,
-    target: float,
-    lo: float,
-    hi: float,
-    seed: float,
-    tol: float,
-) -> float:
+def _match_abscissa(sys: ModelSystem, n: int, target: float, lo: float, hi: float, seed: float, tol: float) -> float:
+    """The t in [lo, hi] with fold_x(t) == target to within tol, by Newton on
+    fold_x_d1 from ``seed`` with bisection on the bracket as fallback."""
+
     def g(t: float) -> float:
         return fold_x(sys, n, t) - target
 
@@ -160,9 +156,7 @@ def _match_abscissa(
         )
     if not (lo < seed < hi):
         seed = 0.5 * (lo + hi)
-    return solve_newton(
-        g, lambda t: fold_x_d1(sys, n, t), seed, tol=tol, bracket=(lo, hi)
-    )
+    return solve_newton(g, partial(fold_x_d1, sys, n), seed, tol=tol, bracket=(lo, hi))
 
 
 @dataclass(frozen=True)
@@ -191,6 +185,13 @@ class SnRectangle:
     @property
     def height(self) -> float:
         return self.rect.height
+
+    @property
+    def branches(self) -> tuple[tuple[float, float], ...]:
+        """Parameter intervals of the three x-monotone branches of the fold:
+        left tail, hook and right tail."""
+        ts = (self.t_ext_minus, self.t_minus, self.t_plus, self.t_ext_plus)
+        return tuple(zip(ts, ts[1:]))
 
     @property
     def dist(self) -> float:

@@ -28,7 +28,7 @@ from .errors import (
     WindowExceededError,
     WrongQuadrantError,
 )
-from .leaves import alpha, t_window
+from .leaves import t_window
 from .model import (
     ModelSystem,
     Point,
@@ -42,8 +42,7 @@ from .model import (
     return_rectangle,
     signed_power,
 )
-from .rects import build_sn, fold_point, fold_rectangles, fold_x
-from .numerics import solve_newton
+from .rects import _match_abscissa, build_sn, fold_point, fold_rectangles, fold_velocity, fold_x
 
 __all__ = [
     "VERTICAL",
@@ -109,7 +108,7 @@ def u0(sys: ModelSystem, point: Point, *, region: Rect | None = None) -> int:
         raise ChartExitError(f"connecting orbit leaves U(p) at step {exit_i} of {k}")
     target = region if region is not None else return_rectangle(sys.epsilon)
     image = apply_linear(sys, z, k)
-    if not target.contains(image, tol=1e-12):
+    if not target.contains(image):
         raise SmallExpandingViolationError(
             f"f^{k}(phi(point)) = ({image[0]:.6g}, {image[1]:.6g}) misses the return rectangle"
         )
@@ -154,7 +153,7 @@ def slope_through_return(sys: ModelSystem, point: Point, slope: float) -> tuple[
     returned = SlopedPoint(returned_point, _rescale_slope(sys, intermediate, k))
 
     eps = sys.epsilon
-    if return_rectangle(eps).contains(point, tol=1e-12) and slope <= eps**2.5:
+    if return_rectangle(eps).contains(point) and slope <= eps**2.5:
         bound = eps**-2.5
         if not intermediate <= bound:
             raise SlopeLemmaCounterexample(
@@ -193,7 +192,7 @@ def i_n(sys: ModelSystem, n: int) -> int:
         if exit_i is not None:
             raise ChartExitError(f"corner orbit leaves U(p) at step {exit_i} of {k}")
         image = apply_linear(sys, corner, k)
-        if not target.contains(image, tol=1e-12):
+        if not target.contains(image):
             raise SmallExpandingViolationError(
                 f"f^{k}(S_{n}) corner ({image[0]:.6g}, {image[1]:.6g}) misses the return rectangle"
             )
@@ -223,37 +222,20 @@ class BetaArc:
     s_n_plus: float
 
 
-def _first_crossing(
-    sys: ModelSystem, n: int, target: float, t_from: float, t_to: float, probes: int = 4097
-) -> float | None:
+_CROSSING_PROBES = 4097
+
+
+def _first_crossing(sys: ModelSystem, n: int, target: float, t_from: float, t_to: float) -> float | None:
     """Smallest t in [t_from, t_to] with fold_x(t) == target, or None."""
-    ts = np.linspace(t_from, t_to, probes)
+    ts = np.linspace(t_from, t_to, _CROSSING_PROBES)
     vals = np.array([fold_x(sys, n, float(t)) - target for t in ts])
-    if vals[0] == 0.0:
-        return float(ts[0])
     sign_change = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) <= 0.0)[0]
     if sign_change.size == 0:
         return None
     i = int(sign_change[0])
     lo, hi = float(ts[i]), float(ts[i + 1])
-    scale = max(abs(target), 1e-300)
-    return solve_newton(
-        lambda t: fold_x(sys, n, t) - target,
-        lambda t: _fold_velocity(sys, n, t)[0],
-        0.5 * (lo + hi),
-        tol=1e-13 * scale if target != 0.0 else 1e-16,
-        bracket=(lo, hi),
-    )
-
-
-def _fold_velocity(sys: ModelSystem, n: int, t: float) -> tuple[float, float]:
-    """Tangent (X', Y') of the folded curve at parameter t."""
-    ap = alpha(sys, n, t)
-    jac = jacobian_phi(sys, ap.point)
-    return (
-        float(jac[0, 0] + jac[0, 1] * ap.dy_dt),
-        float(jac[1, 0] + jac[1, 1] * ap.dy_dt),
-    )
+    tol = 1e-13 * max(abs(target), 1e-300) if target != 0.0 else 1e-16
+    return _match_abscissa(sys, n, target, lo, hi, 0.5 * (lo + hi), tol)
 
 
 def beta_arc(sys: ModelSystem, n: int, s: float) -> BetaArc:
@@ -325,7 +307,6 @@ def jn_slope_check(sys: ModelSystem, n: int, s: float, *, eps_target: float | No
         raise DomainError("eps_target must be positive")
     threshold = eps**2.5
     beta = beta_arc(sys, n, s)
-    ratio = math.log(abs(sys.lam)) - math.log(abs(sys.mu))
     max_slope = 0.0
     excluded = 0
     for t in np.linspace(beta.t_lo, beta.t_hi, _JN_SAMPLES):
@@ -333,13 +314,11 @@ def jn_slope_check(sys: ModelSystem, n: int, s: float, *, eps_target: float | No
         if beta.s_n_minus <= p[0] <= beta.s_n_plus:
             excluded += 1
             continue
-        vx, vy = _fold_velocity(sys, n, float(t))
+        vx, vy = fold_velocity(sys, n, float(t))
         if vx == 0.0:
             max_slope = VERTICAL
             continue
-        raw = abs(vy / vx)
-        slope = 0.0 if raw == 0.0 else math.exp(math.log(raw) + beta.j * ratio)
-        max_slope = max(max_slope, slope)
+        max_slope = max(max_slope, _rescale_slope(sys, abs(vy / vx), beta.j))
     return JnSlopeReport(
         n=n,
         s=s,

@@ -1,6 +1,14 @@
+import os
+from pathlib import Path
+
 import pytest
 
 import tangencylab as tl
+
+# pyproject's pythonpath puts src/ on this process's path; subprocesses that
+# tests start (the CLI entry point) get it through the environment.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 @pytest.fixture(scope="session")

@@ -125,3 +125,17 @@ def test_chart_exit_detected(ref):
     idx = tl.chart_exit_index(ref, (1.5, 0.0), 40)
     assert idx is not None
     assert 1.5 * 1.02 ** (idx - 1) <= 2.0 < 1.5 * 1.02**idx
+
+
+def test_jacobian_phi_matches_central_differences():
+    # allowed remainder terms in both components, so every partial has an
+    # H1 or H2 part: y^2 and x^2 y in H1, x^2 and x y in H2
+    sys = tl.make_system(h1_terms=((0, 2, 0.7), (2, 1, -1.3)), h2_terms=((2, 0, 0.4), (1, 1, -0.9)))
+    h = 1e-6
+    for p in ((1.05, 0.02), (0.85, -0.1), (1.2, 0.15)):
+        jac = tl.jacobian_phi(sys, p)
+        for col, (dx, dy) in enumerate(((h, 0.0), (0.0, h))):
+            plus = tl.apply_phi(sys, (p[0] + dx, p[1] + dy))
+            minus = tl.apply_phi(sys, (p[0] - dx, p[1] - dy))
+            for row in range(2):
+                assert jac[row, col] == pytest.approx((plus[row] - minus[row]) / (2.0 * h), rel=1e-8, abs=1e-9)

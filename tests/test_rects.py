@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import tangencylab as tl
@@ -8,10 +9,13 @@ from tangencylab.rects import (
     first_valid_n,
     fold_point,
     fold_rectangles,
+    fold_velocity,
+    fold_x,
     fold_x_d1,
     scaling_fit,
     vertical_params,
 )
+from tangencylab.leaves import t_window
 
 
 def test_first_valid_level(ref):
@@ -115,3 +119,38 @@ def test_vertical_params_solves_the_tangent_equation(ref):
     for t in (t_minus, t_plus):
         resid = -1.0 * arc_height(ref, 12, t) + 3.0 * t * t
         assert abs(resid) < 1e-15
+
+
+@pytest.mark.parametrize("system", ["ref", "tilted"])
+def test_fold_velocity_matches_central_differences(system, request):
+    # the tilted seed makes the arc slope dy/dt nonzero, so both chain-rule
+    # terms of (X', Y') are exercised
+    sys = request.getfixturevalue(system)
+    S = build_sn(sys, 10)
+    h = 1e-6
+    for t in (S.t_ext_minus, 0.5 * S.t_minus, 0.0, 2.0 * S.t_plus, 0.03, -0.05):
+        plus, minus = fold_point(sys, 10, t + h), fold_point(sys, 10, t - h)
+        vx, vy = fold_velocity(sys, 10, t)
+        assert vx == pytest.approx((plus[0] - minus[0]) / (2.0 * h), rel=1e-6, abs=1e-13)
+        assert vy == pytest.approx((plus[1] - minus[1]) / (2.0 * h), rel=1e-8)
+
+
+def test_fold_x_is_the_fold_point_abscissa(ref):
+    # one evaluation route: phi at the offset t, never at (1 + t) - 1
+    lo, hi = t_window(ref)
+    for n in (5, 10, 18):
+        for t in np.linspace(lo, hi, 201):
+            assert fold_x(ref, n, float(t)) == fold_point(ref, n, float(t))[0]
+
+
+def test_branches_tile_the_extended_window(ref):
+    for S in fold_rectangles(ref, 8, 18):
+        branches = S.branches
+        assert len(branches) == 3
+        assert branches[0][0] == S.t_ext_minus and branches[-1][1] == S.t_ext_plus
+        assert all(left[1] == right[0] for left, right in zip(branches, branches[1:]))
+        assert branches[1] == (S.t_minus, S.t_plus)
+        for lo, hi in branches:
+            assert lo < hi
+            xs = np.diff([fold_x(ref, S.n, float(t)) for t in np.linspace(lo, hi, 33)])
+            assert (xs >= 0.0).all() or (xs <= 0.0).all()
