@@ -95,12 +95,22 @@ def t_window(sys: ModelSystem) -> tuple[float, float]:
     return (u**-3 - 1.0, u**3 - 1.0)
 
 
-def _arc_jet(sys: ModelSystem, n: int, t: float, order: int) -> tuple[float, ...]:
-    """(y_n, dy_n/dt, ...) up to ``order`` at parameter t, from one pullback
-    x = mu^-n (t + 1) of the seed; the k-th derivative carries mu^-kn."""
+def _pullback(sys: ModelSystem, n: int, t: float) -> tuple[float, float]:
+    """(mu^-n, mu^-n (t + 1)): the scale of the n-th arc and the seed
+    abscissa under its parameter t."""
     s = signed_power(sys.mu, -n)
+    return s, s * (t + 1.0)
+
+
+def _arc_jet(
+    sys: ModelSystem, n: int, t: float, order: int, pullback: tuple[float, float] | None = None
+) -> tuple[float, ...]:
+    """(y_n, dy_n/dt, ...) up to ``order`` at parameter t, from one pullback
+    x = mu^-n (t + 1) of the seed; the k-th derivative carries mu^-kn.
+    ``pullback`` is ``_pullback(sys, n, t)`` when the caller already has it."""
+    s, x = pullback if pullback is not None else _pullback(sys, n, t)
     lam_n = signed_power(sys.lam, n)
-    return tuple(lam_n * s**k * dk for k, dk in enumerate(sys.seed.eval(float(s * (t + 1.0)), order)))
+    return tuple(lam_n * s**k * dk for k, dk in enumerate(sys.seed.eval(float(x), order)))
 
 
 def arc_height(sys: ModelSystem, n: int, t: float) -> float:
@@ -115,10 +125,10 @@ def alpha(sys: ModelSystem, n: int, t: float) -> ArcPoint:
     lo, hi = t_window(sys)
     if not (lo - _MEMBERSHIP_TOL <= t <= hi + _MEMBERSHIP_TOL):
         raise DomainError(f"t={t:g} outside arc window [{lo:g}, {hi:g}]")
-    x_seed = signed_power(sys.mu, -n) * (t + 1.0)
-    if not sys.seed.contains(x_seed):
-        raise DomainError(f"arc preimage {x_seed:g} outside the seed domain")
-    return ArcPoint(n, t, (t + 1.0, arc_height(sys, n, t)))
+    pullback = _pullback(sys, n, t)
+    if not sys.seed.contains(pullback[1]):
+        raise DomainError(f"arc preimage {pullback[1]:g} outside the seed domain")
+    return ArcPoint(n, t, (t + 1.0, _arc_jet(sys, n, t, 0, pullback)[0]))
 
 
 def stable_leaf_v(sys: ModelSystem, x: float) -> float:

@@ -302,13 +302,36 @@ def _window_power(x: float, base: float, lo: float, hi: float, k_min: int) -> in
 
 def chart_exit_index(sys: ModelSystem, point: Point, k: int) -> int | None:
     """First i in 1..k with f^i(point) outside U(p), or None if the whole
-    segment of orbit stays inside the chart."""
+    segment of orbit stays inside the chart.
+
+    Closed form: along the orbit |x_i| = |mu|^i |x| and |y_i| = |lam|^i |y|
+    are monotone in i, so a coordinate whose base has modulus at most 1 can
+    only leave at i = 1, and a coordinate v with |base| > 1 leaves at the
+    first i with |base|^i |v| > w = chart_half_width + _MEMBERSHIP_TOL,
+
+        i = floor((log w - log|v|) / log|base|) + 1.
+
+    The smaller estimate of the two coordinates is settled by ``in_chart``
+    on f^(i-1) and f^i, stepping while either disagrees, so a tie at w is
+    decided by the same float comparison as a walk over i = 1..k would make.
+    A check costs two ``apply_linear`` calls when the orbit stays inside and
+    three when it leaves after step 1, unless the estimate has to step.
+    """
     if k < 1:
         return None
-    for i in range(1, k + 1):
-        if not sys.in_chart(apply_linear(sys, point, i)):
-            return i
-    return None
+    if not sys.in_chart(apply_linear(sys, point, 1)):
+        return 1
+    w = sys.chart_half_width + _MEMBERSHIP_TOL
+    i = k + 1
+    for v, base in zip(point, (sys.mu, sys.lam)):
+        if abs(base) > 1.0 and v != 0.0:
+            i = min(i, math.floor((math.log(w) - math.log(abs(v))) / math.log(abs(base))) + 1)
+    i = max(i, 2)
+    while i > 2 and not sys.in_chart(apply_linear(sys, point, i - 1)):
+        i -= 1
+    while i <= k and sys.in_chart(apply_linear(sys, point, i)):
+        i += 1
+    return i if i <= k else None
 
 
 def _phi_parts(sys: ModelSystem, x: float, y: float) -> Point:

@@ -226,9 +226,10 @@ def build_sn(sys: ModelSystem, n: int) -> SnRectangle:
     x_lo = min(pts[1][0], pts[2][0])
     x_hi = max(pts[1][0], pts[2][0])
 
-    ts = np.linspace(t_ext_minus, t_ext_plus, _CURVE_SAMPLES)
-    curve = [fold_point(sys, n, float(t)) for t in ts]
-    ys = [p[1] for p in curve] + [p[1] for p in pts]
+    # linspace returns both ends exactly: they are pts[0] and pts[3].
+    ts = np.linspace(t_ext_minus, t_ext_plus, _CURVE_SAMPLES)[1:-1]
+    curve = [pts[0], *(fold_point(sys, n, float(t)) for t in ts), pts[3]]
+    ys = [p[1] for p in curve] + [pts[1][1], pts[2][1]]
     y_lo, y_hi = min(ys), max(ys)
 
     width = x_hi - x_lo

@@ -97,6 +97,12 @@ def u0(sys: ModelSystem, point: Point, *, region: Rect | None = None) -> int:
     SmallExpandingViolationError when the windowed iterate misses the
     rectangle itself.
     """
+    return _u0_image(sys, point, region)[0]
+
+
+def _u0_image(sys: ModelSystem, point: Point, region: Rect | None = None) -> tuple[int, Point]:
+    """(u0, f^u0(phi(point))): the return exponent of ``u0`` together with
+    the returned point it was checked on."""
     z = apply_phi(sys, point)
     if z[0] <= 0.0:
         raise WrongQuadrantError(
@@ -112,7 +118,7 @@ def u0(sys: ModelSystem, point: Point, *, region: Rect | None = None) -> int:
         raise SmallExpandingViolationError(
             f"f^{k}(phi(point)) = ({image[0]:.6g}, {image[1]:.6g}) misses the return rectangle"
         )
-    return k
+    return k, image
 
 
 def _rescale_slope(sys: ModelSystem, slope: float, k: int) -> float:
@@ -148,8 +154,7 @@ def slope_through_return(sys: ModelSystem, point: Point, slope: float) -> tuple[
     vx = float(jac[0, 0] + jac[0, 1] * slope)
     vy = float(jac[1, 0] + jac[1, 1] * slope)
     intermediate = VERTICAL if vx == 0.0 else abs(vy / vx)
-    k = u0(sys, point)
-    returned_point = apply_linear(sys, apply_phi(sys, point), k)
+    k, returned_point = _u0_image(sys, point)
     returned = SlopedPoint(returned_point, _rescale_slope(sys, intermediate, k))
 
     eps = sys.epsilon

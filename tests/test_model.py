@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tangencylab as tl
-from tangencylab.model import signed_power, _scale_power
+from tangencylab import model
+from tangencylab.model import _MEMBERSHIP_TOL, signed_power, _scale_power
 
 
 def test_saddle_map_is_diagonal(ref):
@@ -125,6 +126,59 @@ def test_chart_exit_detected(ref):
     idx = tl.chart_exit_index(ref, (1.5, 0.0), 40)
     assert idx is not None
     assert 1.5 * 1.02 ** (idx - 1) <= 2.0 < 1.5 * 1.02**idx
+
+
+def _exit_by_walk(sys, point, k):
+    """The chart exit as a walk over the whole orbit segment: the reference
+    the closed form in chart_exit_index must agree with."""
+    for i in range(1, k + 1):
+        if not sys.in_chart(tl.apply_linear(sys, point, i)):
+            return i
+    return None
+
+
+def _signed(magnitudes):
+    return st.tuples(st.sampled_from((-1.0, 1.0)), magnitudes).map(lambda pair: pair[0] * pair[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lam=_signed(st.floats(0.05, 0.95) | st.floats(1.05, 3.0)),
+    mu=_signed(st.floats(1.001, 3.0)),
+    x=st.just(0.0) | _signed(st.floats(-12.0, math.log10(3.0)).map(lambda e: 10.0**e)),
+    y=st.floats(-3.0, 3.0),
+    k=st.integers(0, 3000),
+)
+def test_chart_exit_matches_the_walk(lam, mu, x, y, k):
+    # |lam| > 1 makes the y side grow too; |lam y| > 2 leaves at step 1
+    sys = tl.make_system(lam=lam, mu=mu)
+    assert tl.chart_exit_index(sys, (x, y), k) == _exit_by_walk(sys, (x, y), k)
+
+
+@pytest.mark.parametrize("mu", (1.02, -1.7, 3.0))
+def test_chart_exit_ties_match_the_walk(mu):
+    # x one ulp either side of w / |mu|^i puts |mu^i x| on the membership
+    # edge w = half width + tolerance at step i, where a log estimate is
+    # most likely off by one
+    sys = tl.make_system(mu=mu)
+    w = sys.chart_half_width + _MEMBERSHIP_TOL
+    for i in range(1, 201):
+        for x in (math.nextafter(w / abs(mu) ** i, -math.inf), math.nextafter(w / abs(mu) ** i, math.inf)):
+            for k in (i - 1, i, i + 1):
+                assert tl.chart_exit_index(sys, (x, 0.5), k) == _exit_by_walk(sys, (x, 0.5), k), (i, x, k)
+
+
+def test_chart_exit_costs_three_iterates(ref, monkeypatch):
+    # the reference return rides 595 iterates; a deep exit sits near step 384
+    steps = []
+    real = model.apply_linear
+    monkeypatch.setattr(model, "apply_linear", lambda sys, p, k: steps.append(k) or real(sys, p, k))
+    assert tl.chart_exit_index(ref, tl.apply_phi(ref, (ref.mu, 0.0)), 595) is None
+    assert len(steps) <= 3
+    steps.clear()
+    idx = tl.chart_exit_index(ref, (1e-3, 0.5), 3000)
+    assert idx == _exit_by_walk(ref, (1e-3, 0.5), 3000) == 384
+    assert steps == [1, 383, 384]
 
 
 def test_jacobian_phi_matches_central_differences():
