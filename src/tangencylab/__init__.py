@@ -93,7 +93,6 @@ from .cases import (
     adaptability,
     adaptable_count,
     adaptable_labels,
-    choose_region,
     classify,
     classify_system,
 )

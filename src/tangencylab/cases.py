@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import DomainError
-from .model import Rect, return_rectangle, return_rectangle_minus
 
 if TYPE_CHECKING:  # pragma: no cover
     from .model import ModelSystem
@@ -27,7 +26,6 @@ __all__ = [
     "adaptability",
     "adaptable_count",
     "adaptable_labels",
-    "choose_region",
 ]
 
 _FAMILIES = {(1, 1): "I", (1, -1): "II", (-1, 1): "III", (-1, -1): "IV"}
@@ -67,13 +65,16 @@ class SignCase:
 
 @dataclass(frozen=True)
 class Adaptability:
-    """Whether and how the rectangle construction applies to a sign case."""
+    """Whether and how the rectangle construction applies to a sign case:
+    the one record that turns the four signs into the levels the walkers
+    visit, the f-power whose eigenvalues are positive and the region."""
 
     adaptable: bool
     n_parity: str  # "all" | "even" | "odd"
     sn_quadrant: str  # "Q1" | "Q2" | "none"
     needs_f_image: bool
     region: str | None  # "R_eps" | "R_eps_minus" | None
+    f_power: int  # 1 when lam > 0 and mu > 0, else 2
 
 
 def classify(sign_a: int, sign_bc: int, sign_lam: int, sign_mu: int) -> SignCase:
@@ -106,26 +107,23 @@ def adaptability(case: SignCase) -> Adaptability:
     level times a is positive, else in Q2, and a Q2 rectangle can only be
     pulled into Q1 by one application of f when mu < 0.
     """
+    f_power = 1 if case.sign_lam > 0 and case.sign_mu > 0 else 2
     if case.sign_lam > 0:
         if case.sign_bc > 0:
-            return Adaptability(False, "all", "none", False, None)
-        parity = "all"
-        level_sign = 1  # lam^n > 0
+            return Adaptability(False, "all", "none", False, None, f_power)
+        parity, level_sign = "all", 1  # lam^n > 0
+    elif case.sign_bc < 0:
+        parity, level_sign = "even", 1
     else:
-        if case.sign_bc < 0:
-            parity = "even"
-            level_sign = 1
-        else:
-            parity = "odd"
-            level_sign = -1
+        parity, level_sign = "odd", -1
 
     quadrant = "Q1" if case.sign_a * level_sign > 0 else "Q2"
     needs_f = quadrant == "Q2"
     adaptable = not needs_f or case.sign_mu < 0
     if not adaptable:
-        return Adaptability(False, parity, quadrant, needs_f, None)
+        return Adaptability(False, parity, quadrant, needs_f, None, f_power)
     region = "R_eps_minus" if (case.sign_mu < 0 or quadrant == "Q2") else "R_eps"
-    return Adaptability(True, parity, quadrant, needs_f, region)
+    return Adaptability(True, parity, quadrant, needs_f, region, f_power)
 
 
 def adaptable_labels() -> list[str]:
@@ -135,12 +133,3 @@ def adaptable_labels() -> list[str]:
 def adaptable_count() -> int:
     return len(adaptable_labels())
 
-
-def choose_region(case: SignCase, epsilon: float) -> Rect:
-    """Return rectangle variant this case's machinery runs on."""
-    adapt = adaptability(case)
-    if not adapt.adaptable:
-        raise DomainError(f"case {case.label} is not adaptable")
-    if adapt.region == "R_eps":
-        return return_rectangle(epsilon)
-    return return_rectangle_minus(epsilon)

@@ -26,7 +26,6 @@ from .errors import (
     ConfigError,
     DomainError,
     InconclusiveError,
-    NoVerticalTangencyError,
     SlopeLemmaCounterexample,
     TangencyLabError,
     WindowExceededError,
@@ -570,7 +569,7 @@ def cmd_cascade(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[dict]]:
         for n in level_range(sys_e, *cfg.n_range):
             try:
                 res = run_cascade(sys_e, n)
-            except (NoVerticalTangencyError, WindowExceededError):
+            except WindowExceededError:
                 continue
             if res.k0 == 0:
                 rows.append((eps, n, 0, "", "", "", "", ""))
@@ -653,12 +652,19 @@ def cmd_classify(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[dict]]:
     return results, assertions
 
 
+def _return_levels(cfg: ExperimentConfig, cmd: str) -> list[int]:
+    """The levels of n_range the return data is read on; a fit needs six."""
+    ns = list(level_range(cfg.system, *cfg.n_range))
+    if len(ns) < 6:
+        parity = classify_system(cfg.system)[1].n_parity
+        raise DomainError(f"{cmd} command needs at least six levels in n_range, got {ns} ({parity} parity)")
+    return ns
+
+
 def cmd_moduli(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[dict]]:
     sys = cfg.system
     tol = cfg.tolerances
-    ns = list(level_range(sys, *cfg.n_range))
-    if len(ns) < 6:
-        raise DomainError("moduli command needs at least six levels in n_range")
+    ns = _return_levels(cfg, "moduli")
     records = [return_record(sys, n) for n in ns]
     rho, stderr = modulus_fit(sys, ns)
     target = -math.log(abs(sys.lam)) / math.log(abs(sys.mu))
@@ -710,12 +716,9 @@ def cmd_moduli(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[dict]]:
 def cmd_conjugacy(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[dict]]:
     sys = cfg.system
     tol = cfg.tolerances
-    ns = list(level_range(sys, *cfg.n_range))
-    if len(ns) < 6:
-        raise DomainError("conjugacy command needs at least six levels in n_range")
-    shift = 1 if sys.lam > 0.0 else 2
+    ns = _return_levels(cfg, "conjugacy")
     pair_id = identity_pair(sys)
-    pair_re = rescale_pair(sys, shift)
+    pair_re = rescale_pair(sys, classify_system(sys)[1].f_power)
 
     corr_id = correspondence_points(pair_id, ns)
     c_id, tau_id = power_fit(corr_id)

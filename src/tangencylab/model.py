@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
+from .cases import classify_system
 from .errors import ChartExitError, DomainError, WrongQuadrantError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -433,8 +434,6 @@ def tau_bounds(sys: ModelSystem, region: Rect | None = None) -> tuple[float, flo
 def validate(sys: ModelSystem) -> ConditionReport:
     """Check the standing hypotheses and return a report (never raises for a
     merely invalid system; each failure is a named entry)."""
-    from .cases import classify_system  # local import, cases depends on model
-
     rep = ConditionReport()
     lam, mu = sys.lam, sys.mu
     t = sys.transition

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -286,7 +287,8 @@ def rescale_pair(sys: ModelSystem, shift: int) -> ConjugacyPair:
     """``sys`` paired with its lam^-shift vertical rescaling.
 
     For lam < 0 an odd shift would flip the seed below the axis, which the
-    seed constructor rejects; use even shifts there.
+    seed constructor rejects; the sign case's ``Adaptability.f_power`` is a
+    shift that keeps every sign.
     """
     return _checked_pair(sys, conjugate_system(sys, shift), (1.0, signed_power(sys.lam, -shift)), shift)
 
@@ -370,12 +372,15 @@ def intersection_check(pair: ConjugacyPair, n: int) -> bool:
     s0 = build_sn(sys0, n)
     s1 = build_sn(sys1, n)
 
+    # The branch ends are evaluated again by every bisection; remember them.
+    @cache
     def curve0(t: float) -> Point:
         p = fold_point(sys0, n, t)
         if pair.m0_shift:
             p = apply_linear(sys0, p, pair.m0_shift)
         return pair.h(p)
 
+    @cache
     def curve1(t: float) -> Point:
         return fold_point(sys1, n, t)
 

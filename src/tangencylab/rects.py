@@ -18,6 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .cases import classify_system
 from .errors import (
     DomainError,
     NoVerticalTangencyError,
@@ -259,19 +260,22 @@ def build_sn(sys: ModelSystem, n: int) -> SnRectangle:
 
 
 def level_range(sys: ModelSystem, lo: int, hi: int) -> range:
-    """Levels lo..hi, cut at the resolvable depth ``sys.n_max``."""
-    return range(lo, min(hi, sys.n_max) + 1)
+    """Levels lo..hi of the parity the sign case realizes (every other
+    level for lam < 0), cut at the resolvable depth ``sys.n_max``."""
+    parity = classify_system(sys)[1].n_parity
+    if parity != "all" and lo % 2 != (parity == "odd"):
+        lo += 1
+    return range(lo, min(hi, sys.n_max) + 1, 1 if parity == "all" else 2)
 
 
 def fold_rectangles(sys: ModelSystem, lo: int, hi: int) -> Iterator[SnRectangle]:
     """S_n for each level of ``level_range(sys, lo, hi)`` whose fold
-    rectangle is fully realized inside the arc window.  Levels whose
-    tangencies or caps do not fit are skipped; so are levels with no real
-    tangency pair (the wrong parity for lam < 0)."""
+    rectangle is fully realized inside the arc window; levels whose
+    tangencies or caps do not fit are skipped."""
     for n in level_range(sys, lo, hi):
         try:
             S = build_sn(sys, n)
-        except (NoVerticalTangencyError, WindowExceededError):
+        except WindowExceededError:
             continue
         yield S
 

@@ -20,7 +20,6 @@ import numpy as np
 from .errors import (
     ChartExitError,
     DomainError,
-    NoVerticalTangencyError,
     NotFoundError,
     NumericError,
     SlopeLemmaCounterexample,
@@ -376,7 +375,7 @@ def find_s_n0(
                 if not report.passed:
                     break
                 reports.append(report)
-        except (WindowExceededError, NoVerticalTangencyError, WrongQuadrantError):
+        except (WindowExceededError, WrongQuadrantError):
             continue
         if len(reports) == len(levels):
             return SlopeSearchResult(s=float(s), n0=n0, levels=tuple(levels), reports=tuple(reports))

@@ -90,9 +90,3 @@ def test_adaptable_cases_have_a_quadrant():
         else:
             assert adapt.region is None
 
-
-def test_choose_region_is_a_rectangle(ref):
-    case, _ = tl.classify_system(ref)
-    rect = tl.choose_region(case, ref.epsilon)
-    assert rect.x_lo < rect.x_hi
-    assert rect.y_lo < rect.y_hi

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import tangencylab as tl
+from tangencylab.cases import SIGN_CASES
 from tangencylab.cli import Axes, Series, emit_svg, load_config, main, run
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "reference.json"
@@ -118,6 +119,59 @@ def test_rects_negative_lambda_uses_even_levels(tmp_path):
     assert section["results"]["levels"] == [8, 10, 12, 14, 16, 18]
     assert [a["name"] for a in section["assertions"]] == ["width_exponent", "height_exponent", "dist_exponent", "root_ratio"]
     assert all(a["passed"] for a in section["assertions"])
+
+
+# tangency-lab all on the reference jet with the signs of a, b (c = 1), lambda
+# and mu flipped: label -> (exit code, passed/total, failed assertions)
+_LATE = " cascade:cascade_completed moduli:moduli_completed conjugacy:conjugacy_completed"
+_NO_FOLD = "validate:sign_case rects:rects_completed"
+_SIGN_SWEEP = {
+    "I_{++}": (1, "14/20", _NO_FOLD + " slopes:slope_search" + _LATE),
+    "I_{+-}": (1, "13/19", _NO_FOLD + " slopes:slopes_completed" + _LATE),
+    "I_{-+}": (1, "18/23", "validate:sign_case slopes:slope_search" + _LATE),
+    "I_{--}": (1, "18/22", "slopes:slopes_completed" + _LATE),
+    "II_{++}": (0, "30/30", ""),
+    "II_{+-}": (1, "18/22", "slopes:slopes_completed" + _LATE),
+    "II_{-+}": (0, "30/30", ""),
+    "II_{--}": (1, "18/22", "slopes:slopes_completed" + _LATE),
+    "III_{++}": (1, "14/20", _NO_FOLD + " slopes:slope_search" + _LATE),
+    "III_{+-}": (1, "13/19", _NO_FOLD + " slopes:slopes_completed" + _LATE),
+    "III_{-+}": (1, "21/23", "moduli:moduli_completed conjugacy:conjugacy_completed"),
+    "III_{--}": (1, "18/22", "slopes:slopes_completed" + _LATE),
+    "IV_{++}": (1, "16/22", "validate:tau_upper validate:sign_case slopes:slopes_completed" + _LATE),
+    "IV_{+-}": (1, "17/22", "validate:tau_upper slopes:slopes_completed" + _LATE),
+    "IV_{-+}": (1, "16/22", "validate:tau_upper validate:sign_case slopes:slopes_completed" + _LATE),
+    "IV_{--}": (1, "17/22", "validate:tau_upper slopes:slopes_completed" + _LATE),
+}
+
+
+@pytest.mark.parametrize("case", SIGN_CASES, ids=lambda case: case.label)
+def test_sign_sweep(case, tmp_path):
+    raw = json.loads(CONFIG.read_text())
+    system = raw["system"]
+    system["a"] = case.sign_a * abs(system["a"])
+    system["b"] = case.sign_bc * abs(system["b"])
+    system["c"] = 1.0
+    system["lambda"] = case.sign_lam * abs(system["lambda"])
+    system["mu"] = case.sign_mu * abs(system["mu"])
+    out = tmp_path / "out"
+    code = run(_write(tmp_path, raw), "all", out_dir=str(out))
+    rep = json.loads((out / "report.json").read_text())
+    total = sum(len(sec["assertions"]) for sec in rep["commands"].values())
+    want_code, want_score, want_failed = _SIGN_SWEEP[case.label]
+    assert (code, f"{total - len(rep['failed'])}/{total}", rep["failed"]) == (want_code, want_score, want_failed.split())
+
+
+def test_return_levels_error_names_the_parity(tmp_path):
+    # III_{-+} realizes the odd levels only: five of them in 8..18
+    raw = json.loads(CONFIG.read_text())
+    raw["system"].update({"a": -1.0, "b": 1.0, "lambda": -0.3})
+    out = tmp_path / "out"
+    assert run(_write(tmp_path, raw), "moduli", out_dir=str(out)) == 1
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["commands"]["moduli"]["results"]["error"] == (
+        "moduli command needs at least six levels in n_range, got [9, 11, 13, 15, 17] (odd parity)"
+    )
 
 
 def test_rects_artifacts(ref_config, tmp_path):

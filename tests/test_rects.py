@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tangencylab as tl
+from tangencylab.cases import SIGN_CASES
 from tangencylab.rects import (
     build_sn,
     first_valid_n,
@@ -12,6 +13,7 @@ from tangencylab.rects import (
     fold_velocity,
     fold_x,
     fold_x_d1,
+    level_range,
     scaling_fit,
     vertical_params,
 )
@@ -40,10 +42,23 @@ def test_fold_rectangles_walks_the_valid_levels(ref):
 
 
 def test_fold_rectangles_keeps_the_adaptable_parity():
-    # for lam < 0 only one parity of n has a real tangency pair
+    # for lam < 0 only one parity of n has a real tangency pair; the sign
+    # record's parity is checked against the tangency solver, case by case
     sys = tl.make_system(lam=-0.3)
     assert tl.classify_system(sys)[1].n_parity == "even"
     assert [S.n for S in fold_rectangles(sys, 8, 18)] == [8, 10, 12, 14, 16, 18]
+    adaptable = 0
+    for case in SIGN_CASES:
+        sys = tl.make_system(a=case.sign_a, b=case.sign_bc, lam=0.3 * case.sign_lam, mu=1.02 * case.sign_mu)
+        if not tl.classify_system(sys)[1].adaptable:
+            continue
+        adaptable += 1
+        levels = level_range(sys, 8, 18)
+        assert [S.n for S in fold_rectangles(sys, 8, 18)] == list(levels)
+        for n in set(range(8, 19)) - set(levels):
+            with pytest.raises(tl.NoVerticalTangencyError):
+                vertical_params(sys, n)
+    assert adaptable == 9
 
 
 def test_vertical_tangency_parameters(sn10):
