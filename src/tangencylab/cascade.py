@@ -15,6 +15,7 @@ metric can be re-sampled at full precision at any depth.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -267,6 +268,9 @@ def _fiber_metrics(sys: ModelSystem, box: Box) -> tuple[float, float]:
     """
     inset = 1e-6 * max(box.x_hi - box.x_lo, 1e-300)
 
+    # The refinement passes re-sample abscissas the first pass already has
+    # (both maxima often sit at the same sample), so each fiber is kept.
+    @functools.cache
     def fiber(x: float) -> tuple[float, float]:
         y_t = box.top.eval(sys, box.top.invert_x(sys, x))[1]
         y_b = box.bottom.eval(sys, box.bottom.invert_x(sys, x))[1]

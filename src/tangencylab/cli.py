@@ -734,7 +734,7 @@ def cmd_conjugacy(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[dict]]:
     inter_id = [intersection_check(pair_id, n) for n in ns_geom]
     inter_re = [intersection_check(pair_re, n) for n in ns_geom]
 
-    lam_other = 0.5 if abs(sys.lam - 0.5) > 0.05 else 0.25
+    lam_other = math.copysign(0.5 if abs(abs(sys.lam) - 0.5) > 0.05 else 0.25, sys.lam)
     mism = mismatched_pair(sys, lam_other)
     n_mism = max(first_valid_n(mism.sys_0), first_valid_n(mism.sys_1))
     inter_mism = intersection_check(mism, n_mism)

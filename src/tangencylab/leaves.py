@@ -110,7 +110,7 @@ def _arc_jet(
     ``pullback`` is ``_pullback(sys, n, t)`` when the caller already has it."""
     s, x = pullback if pullback is not None else _pullback(sys, n, t)
     lam_n = signed_power(sys.lam, n)
-    return tuple(lam_n * s**k * dk for k, dk in enumerate(sys.seed.eval(float(x), order)))
+    return tuple(lam_n * s**k * dk for k, dk in enumerate(sys.seed.eval(x, order)))
 
 
 def arc_height(sys: ModelSystem, n: int, t: float) -> float:

@@ -95,6 +95,8 @@ def _poly(terms: Iterable[tuple[int, int, float]], x, y, dx: int = 0, dy: int = 
     order dx in x and dy in y.  Works on scalars and on numpy arrays.  The
     factors i, i-1, ..., j, j-1, ... multiply the coefficient one at a time,
     so the result rounds like the written-out partials."""
+    if dx == dy == 0:
+        return sum(coef * x**i * y**j for i, j, coef in terms)
     return sum(
         math.prod((*range(i, i - dx, -1), *range(j, j - dy, -1)), start=coef) * x ** (i - dx) * y ** (j - dy)
         for i, j, coef in terms

@@ -58,7 +58,7 @@ def fold_x(sys: ModelSystem, n: int, t: float) -> float:
     """Abscissa of the folded curve, X(t) = pr_x(phi(alpha_n(t))).
 
     Raw arithmetic, no window checks: the tangency solvers may probe slightly
-    outside the window while bracketing.
+    outside the window while bracketing.  ``t`` may be a numpy array.
     """
     return _phi_parts(sys, t, arc_height(sys, n, t))[0]
 

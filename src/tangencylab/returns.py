@@ -232,7 +232,7 @@ _CROSSING_PROBES = 4097
 def _first_crossing(sys: ModelSystem, n: int, target: float, t_from: float, t_to: float) -> float | None:
     """Smallest t in [t_from, t_to] with fold_x(t) == target, or None."""
     ts = np.linspace(t_from, t_to, _CROSSING_PROBES)
-    vals = np.array([fold_x(sys, n, float(t)) - target for t in ts])
+    vals = fold_x(sys, n, ts) - target
     sign_change = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) <= 0.0)[0]
     if sign_change.size == 0:
         return None

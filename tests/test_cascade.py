@@ -87,3 +87,20 @@ def test_cascade_refuses_wide_expansion():
     assert res.k0 == 0
     assert res.boxes == ()
     assert res.violations == ()
+
+
+def test_box_metrics_evaluation_budget(ref, sn10, monkeypatch):
+    # An operation count, so it holds on any hardware: the 33 + 2 x 33 fibers
+    # of B_1 at level 10 need 5,270 edge evaluations with ITP inversions and
+    # each fiber computed once; plain bisection of every fiber took 17,498.
+    calls = []
+    original = tl.CurveHandle.eval
+
+    def counted(self, sys, s):
+        calls.append(s)
+        return original(self, sys, s)
+
+    box = build_b1(ref, sn10)
+    monkeypatch.setattr(tl.CurveHandle, "eval", counted)
+    box_metrics(ref, box)
+    assert len(calls) <= 5_400

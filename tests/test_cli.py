@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import tangencylab as tl
-from tangencylab.cases import SIGN_CASES
+from tangencylab import cli
+from tangencylab.cases import SIGN_CASES, classify_system
 from tangencylab.cli import Axes, Series, emit_svg, load_config, main, run
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "reference.json"
@@ -160,6 +161,25 @@ def test_sign_sweep(case, tmp_path):
     total = sum(len(sec["assertions"]) for sec in rep["commands"].values())
     want_code, want_score, want_failed = _SIGN_SWEEP[case.label]
     assert (code, f"{total - len(rep['failed'])}/{total}", rep["failed"]) == (want_code, want_score, want_failed.split())
+
+
+def test_mismatched_pair_keeps_the_sign_case(tmp_path, monkeypatch):
+    # the non-conjugate system of the conjugacy diagnostics differs from the
+    # configured one in |lambda| only, so it stays in the same sign case
+    pairs = []
+    original = cli.mismatched_pair
+
+    def spy(sys, lam_other):
+        pairs.append(original(sys, lam_other))
+        return pairs[-1]
+
+    monkeypatch.setattr(cli, "mismatched_pair", spy)
+    raw = json.loads(CONFIG.read_text())
+    raw["system"]["lambda"] = -0.3
+    run(_write(tmp_path, raw), "conjugacy", out_dir=str(tmp_path / "out"))
+    (pair,) = pairs
+    labels = {classify_system(s)[0].label for s in (pair.sys_0, pair.sys_1)}
+    assert labels == {"II_{-+}"}
 
 
 def test_return_levels_error_names_the_parity(tmp_path):

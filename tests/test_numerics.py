@@ -85,6 +85,63 @@ def test_bisect_compares_signs_without_underflow():
     assert abs(t - 0.6) <= math.ulp(0.6)
 
 
+def _halving_count(f, lo: float, hi: float) -> int:
+    """Evaluations plain bisection spends on [lo, hi] with tol = xtol = 0:
+    the reference the ITP steps are bounded by."""
+    f_lo, f_hi = f(lo), f(hi)
+    count = 2
+    if f_lo == 0.0 or f_hi == 0.0:
+        return count
+    sign_lo = math.copysign(1.0, f_lo)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        f_mid = f(mid)
+        count += 1
+        if f_mid == 0.0:
+            break
+        if math.copysign(1.0, f_mid) == sign_lo:
+            lo = mid
+        else:
+            hi = mid
+    return count
+
+
+_EXHAUST_CASES = {
+    "linear": lambda root: lambda t: 3.0 * (t - root),
+    "flat then step": lambda root: lambda t: -1.0 if t < root else 1e-9,
+    "exp(log) staircase": lambda root: lambda t: math.exp(math.log(t)) - root,
+    "square minus two": lambda root: lambda t: t * t - 2.0,
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    case=st.sampled_from(sorted(_EXHAUST_CASES)),
+    root=st.floats(min_value=1.0, max_value=2.0),
+    below=st.floats(min_value=1e-12, max_value=0.9),
+    above=st.floats(min_value=1e-12, max_value=3.0),
+)
+def test_exhaustive_search_costs_at_most_one_step_more_than_bisection(case, root, below, above):
+    # Adversarial shapes for the ITP steps: exact interpolation, no slope and
+    # lopsided values (interpolation lands next to one end every time), a
+    # staircase that is noisy at the last bit, and a plain curve.
+    f = _EXHAUST_CASES[case](root)
+    lo, hi = root - below, root + above
+    if case == "square minus two":
+        lo, hi = min(lo, 1.4), max(hi, 1.5)
+    counted, calls = _counted(f)
+    t = _bisect(counted, lo, hi)
+    assert len(calls) <= _halving_count(f, lo, hi) + 1
+    # an exact zero, or one end of two neighbouring doubles with a sign change
+    f_t = f(t)
+    assert f_t == 0.0 or any(
+        math.copysign(1.0, f_t) != math.copysign(1.0, f(side))
+        for side in (math.nextafter(t, -math.inf), math.nextafter(t, math.inf))
+    )
+
+
 # -- Newton with bisection fallback ------------------------------------------
 
 

@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tangencylab as tl
+from tangencylab.leaves import t_window
+from tangencylab.model import _scale_power
+from tangencylab.rects import _match_abscissa, build_sn, fold_x, level_range
 from tangencylab.returns import (
+    _CROSSING_PROBES,
+    _first_crossing,
     VERTICAL,
     beta_arc,
     find_s_n0,
@@ -116,3 +121,30 @@ def test_slope_search_threshold_scaling(ref, slope_search):
     # doubling the target threshold can only keep or lower the first level
     relaxed = find_s_n0(ref, eps_target=2.0 * ref.epsilon)
     assert relaxed.n0 <= slope_search.n0
+
+
+def _first_crossing_scalar(sys, n, target, t_from, t_to):
+    """``_first_crossing`` written out with one fold_x call per probe."""
+    ts = np.linspace(t_from, t_to, _CROSSING_PROBES)
+    vals = np.array([fold_x(sys, n, float(t)) - target for t in ts])
+    sign_change = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) <= 0.0)[0]
+    if sign_change.size == 0:
+        return None
+    i = int(sign_change[0])
+    lo, hi = float(ts[i]), float(ts[i + 1])
+    tol = 1e-13 * max(abs(target), 1e-300) if target != 0.0 else 1e-16
+    return _match_abscissa(sys, n, target, lo, hi, 0.5 * (lo + hi), tol)
+
+
+@pytest.mark.parametrize("sys", [tl.reference_system(), tl.make_system(lam=-0.3)], ids=["reference", "lam<0"])
+def test_first_crossing_matches_the_scalar_scan(sys):
+    # The probes are evaluated as one array; the bracket they pick, and so
+    # the polished root, must be those of one fold_x call per probe, for the
+    # two targets beta_arc asks for.
+    lo, hi = t_window(sys)
+    for n in level_range(sys, 8, 18):
+        x_cap = _scale_power(0.1, sys.mu, -window_exponent(sys, build_sn(sys, n).dist))
+        t_lo = _first_crossing(sys, n, 0.0, lo, hi)
+        assert t_lo == _first_crossing_scalar(sys, n, 0.0, lo, hi)
+        t_from = lo if t_lo is None else t_lo
+        assert _first_crossing(sys, n, x_cap, t_from, hi) == _first_crossing_scalar(sys, n, x_cap, t_from, hi)
