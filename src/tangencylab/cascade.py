@@ -143,11 +143,30 @@ class CurveHandle:
         return CurveHandle(self.start, self.end, self.word.extended(*atoms), self.s_lo, self.s_hi)
 
     def invert_x(self, sys: ModelSystem, x_target: float) -> float:
-        """Parameter s with image abscissa x_target, by bisection.  The
-        handle must be an x-monotone graph (checked by the callers on
-        samples); raises NumericError when the target is not bracketed."""
+        """Parameter s with image abscissa x_target.  The handle must be an
+        x-monotone graph (checked by the callers on samples); raises
+        NumericError when the target is not bracketed.
+
+        The search is ``numerics._bisect`` run until the bracket is two
+        neighbouring doubles, with ITP steps.  Near the root many
+        neighbouring s round to one base point, so the images of this call
+        are kept by base point and each word is applied once per point.
+        That is exact: ``eval`` depends on s only through ``base_point(s)``,
+        and along one segment a zero coordinate of the base point keeps one
+        sign, so equal keys are equal bits.  The memo lives for one call;
+        kept on the handle it would hold thousands of points per box.
+        """
+        images: dict[Point, Point] = {}
+
+        def offset(s: float) -> float:
+            base = self.base_point(s)
+            image = images.get(base)
+            if image is None:
+                image = images[base] = self.eval(sys, s)
+            return image[0] - x_target
+
         try:
-            return _bisect(lambda s: self.eval(sys, s)[0] - x_target, self.s_lo, self.s_hi)
+            return _bisect(offset, self.s_lo, self.s_hi)
         except _NoSignChange:
             raise NumericError(f"abscissa {x_target:g} outside the handle's image range") from None
 

@@ -401,6 +401,8 @@ class ConditionReport:
 
 
 _TAU_RESOLUTION = 256
+_TAU_BLOCK_ROWS = 16
+_TAU_CACHE: dict[tuple[ModelSystem, Rect | None], tuple[float, float]] = {}
 
 
 def tau_bounds(sys: ModelSystem, region: Rect | None = None) -> tuple[float, float]:
@@ -409,7 +411,17 @@ def tau_bounds(sys: ModelSystem, region: Rect | None = None) -> tuple[float, flo
     Returns (tau0, tau1) with tau0 * eps^3 <= pr_x(phi(R)) <= tau1 * eps^3.
     For the reference sign pattern the extremes sit at the rectangle corners
     and approach (c, a + 27c) as eps -> 0.
+
+    The 256 x 256 grid is evaluated in blocks of 16 rows, each the same
+    elementwise arithmetic on contiguous arrays as one meshgrid, so the
+    extremes are the same doubles at a sixteenth of the temporaries.  The
+    pair is kept per (system, region) like ``rects.build_sn``'s S_n; a
+    failure is not stored and raises on every call.
     """
+    key = (sys, region)
+    bounds = _TAU_CACHE.get(key)
+    if bounds is not None:
+        return bounds
     eps = sys.epsilon
     if eps <= 0.0:
         raise DomainError("tau bounds need |mu| > 1")
@@ -419,9 +431,14 @@ def tau_bounds(sys: ModelSystem, region: Rect | None = None) -> tuple[float, flo
             raise ChartExitError(f"return rectangle corner {corner} leaves U(q)")
     xs = np.linspace(rect.x_lo, rect.x_hi, _TAU_RESOLUTION) - 1.0
     ys = np.linspace(rect.y_lo, rect.y_hi, _TAU_RESOLUTION)
-    px = _phi_parts(sys, *np.meshgrid(xs, ys, indexing="ij"))[0]
-    lo = float(px.min())
-    hi = float(px.max())
+    lows, highs = [], []
+    for row in range(0, _TAU_RESOLUTION, _TAU_BLOCK_ROWS):
+        px = _phi_parts(sys, *np.meshgrid(xs[row : row + _TAU_BLOCK_ROWS], ys, indexing="ij"))[0]
+        lows.append(px.min())
+        highs.append(px.max())
+    # np.min/np.max of the block extremes propagate a NaN as one reduction would.
+    lo = float(np.min(lows))
+    hi = float(np.max(highs))
     if lo <= 0.0 <= hi:
         raise WrongQuadrantError(
             "image of the return rectangle crosses pr_x = 0; "
@@ -430,7 +447,8 @@ def tau_bounds(sys: ModelSystem, region: Rect | None = None) -> tuple[float, flo
     if hi < 0.0:
         lo, hi = -hi, -lo  # strip on the Q2 side, report magnitudes
     scale = eps**3
-    return (lo / scale, hi / scale)
+    bounds = _TAU_CACHE[key] = (lo / scale, hi / scale)
+    return bounds
 
 
 def validate(sys: ModelSystem) -> ConditionReport:

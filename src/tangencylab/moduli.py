@@ -380,9 +380,14 @@ def intersection_check(pair: ConjugacyPair, n: int) -> bool:
             p = apply_linear(sys0, p, pair.m0_shift)
         return pair.h(p)
 
-    @cache
-    def curve1(t: float) -> Point:
-        return fold_point(sys1, n, t)
+    # For the identity pair h and the shift are exact no-ops: one curve.
+    if sys0 == sys1 and pair.h_scale == (1.0, 1.0) and pair.m0_shift == 0:
+        curve1 = curve0
+    else:
+
+        @cache
+        def curve1(t: float) -> Point:
+            return fold_point(sys1, n, t)
 
     for count in (65, 129, 257):
         for lo0, hi0 in s0.branches:

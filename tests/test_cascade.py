@@ -1,7 +1,8 @@
 import pytest
 
 import tangencylab as tl
-from tangencylab.cascade import box_metrics, build_b1, cascade_step, max_edge_slope
+from tangencylab.cascade import _FIBER_SAMPLES, _lobatto, box_metrics, build_b1, cascade_step, max_edge_slope
+from tangencylab.numerics import _bisect
 
 
 def test_first_box_matches_fold_geometry(ref, sn10):
@@ -104,3 +105,48 @@ def test_box_metrics_evaluation_budget(ref, sn10, monkeypatch):
     monkeypatch.setattr(tl.CurveHandle, "eval", counted)
     box_metrics(ref, box)
     assert len(calls) <= 5_400
+
+
+def _fiber_abscissas(box):
+    # the 33 abscissas of _fiber_metrics' first pass
+    inset = 1e-6 * max(box.x_hi - box.x_lo, 1e-300)
+    return [float(x) for x in _lobatto(box.x_lo + inset, box.x_hi - inset, _FIBER_SAMPLES)]
+
+
+def test_invert_x_memo_is_exact(ref, sn10, cascade12):
+    # invert_x keeps the images of one call by base point; the root must be
+    # the same double as the search that applies the word at every trial s.
+    # Level 12 adds a box whose word passes through phi.
+    boxes = [build_b1(ref, sn10), *tl.run_cascade(ref, 10).boxes, *cascade12.boxes]
+    for box in boxes:
+        for handle in (box.top, box.bottom, box.delta):
+            for x in _fiber_abscissas(box):
+                plain = _bisect(lambda s: handle.eval(ref, s)[0] - x, handle.s_lo, handle.s_hi)
+                assert handle.invert_x(ref, x) == plain, (box.k, x)
+
+
+def test_box_metrics_inversion_budget_with_base_point_memo(ref, sn10, monkeypatch):
+    # The same 33 + 2 x 33 fibers of the level-10 B_1 as the 5,400 budget
+    # above, counted like the tracer's invert_x -> eval edge: applying each
+    # word once per base point of an inversion takes 2,009 evaluations over
+    # its 192 inversions (each fiber edge then evaluates its root once more).
+    inside, calls = [], []
+    original_eval, original_invert = tl.CurveHandle.eval, tl.CurveHandle.invert_x
+
+    def counted_eval(self, sys, s):
+        if inside:
+            calls.append(s)
+        return original_eval(self, sys, s)
+
+    def counted_invert(self, sys, x):
+        inside.append(x)
+        try:
+            return original_invert(self, sys, x)
+        finally:
+            inside.pop()
+
+    box = build_b1(ref, sn10)
+    monkeypatch.setattr(tl.CurveHandle, "eval", counted_eval)
+    monkeypatch.setattr(tl.CurveHandle, "invert_x", counted_invert)
+    box_metrics(ref, box)
+    assert len(calls) <= 2_100

@@ -1,11 +1,14 @@
+import inspect
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tangencylab as tl
-from tangencylab import model
+from tangencylab import model, rects
 from tangencylab.model import _MEMBERSHIP_TOL, signed_power, _scale_power
 
 
@@ -193,3 +196,84 @@ def test_jacobian_phi_matches_central_differences():
             minus = tl.apply_phi(sys, (p[0] - dx, p[1] - dy))
             for row in range(2):
                 assert jac[row, col] == pytest.approx((plus[row] - minus[row]) / (2.0 * h), rel=1e-8, abs=1e-9)
+
+
+def _tau_bounds_one_grid(sys):
+    """tau_bounds as one 256 x 256 meshgrid: the formula the row blocks
+    must reproduce bit for bit."""
+    eps = sys.epsilon
+    rect = tl.return_rectangle(eps)
+    xs = np.linspace(rect.x_lo, rect.x_hi, model._TAU_RESOLUTION) - 1.0
+    ys = np.linspace(rect.y_lo, rect.y_hi, model._TAU_RESOLUTION)
+    px = model._phi_parts(sys, *np.meshgrid(xs, ys, indexing="ij"))[0]
+    lo, hi = float(px.min()), float(px.max())
+    if lo <= 0.0 <= hi:
+        return tl.WrongQuadrantError
+    if hi < 0.0:
+        lo, hi = -hi, -lo
+    return (lo / eps**3, hi / eps**3)
+
+
+def _tau_bounds_uncached(sys):
+    model._TAU_CACHE.pop((sys, None), None)
+    try:
+        return tl.tau_bounds(sys)
+    except tl.WrongQuadrantError:
+        return tl.WrongQuadrantError
+
+
+_H1_ALLOWED = ((0, 2), (2, 1), (1, 2), (0, 3), (4, 0), (2, 2))
+_H2_ALLOWED = ((2, 0), (1, 1), (0, 2), (3, 0))
+
+
+def _jet_terms(allowed):
+    return st.lists(
+        st.tuples(st.sampled_from(allowed), st.floats(-3.0, 3.0)).map(lambda t: (*t[0], t[1])),
+        min_size=1,
+        max_size=3,
+    ).map(tuple)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    mu=st.floats(1.005, 1.08),
+    c=_signed(st.floats(0.3, 3.0)),
+    h1=_jet_terms(_H1_ALLOWED),
+    h2=_jet_terms(_H2_ALLOWED),
+)
+def test_tau_bounds_blocks_match_one_grid(mu, c, h1, h2):
+    sys = tl.make_system(mu=mu, c=c, h1_terms=h1, h2_terms=h2)
+    assert _tau_bounds_uncached(sys) == _tau_bounds_one_grid(sys)
+
+
+def test_tau_bounds_blocks_match_one_grid_on_named_systems(ref, tilted):
+    for sys in (ref, tilted):
+        assert _tau_bounds_uncached(sys) == _tau_bounds_one_grid(sys)
+
+
+def test_tau_bounds_stored_per_system(ref):
+    # systems compare by value, so an equal system gets the stored pair
+    assert tl.tau_bounds(ref) is tl.tau_bounds(tl.make_system())
+
+
+def test_tau_bounds_peak_memory():
+    # one uncached call: 16-row blocks instead of 256 x 256 temporaries
+    sys = tl.make_system(h1_terms=((0, 2, 0.7), (2, 1, -1.3)), h2_terms=((2, 0, 0.4),))
+    model._TAU_CACHE.pop((sys, None), None)
+    tracemalloc.start()
+    try:
+        tl.tau_bounds(sys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 2**20
+
+
+@pytest.mark.parametrize("module, name", [(rects, "build_sn"), (model, "tau_bounds")])
+def test_memoized_functions_stay_plain_functions(module, name):
+    # benchmarks/tracer.py wraps the plain functions of each module; a
+    # functools decorator would hide these from it, so they memoize in a
+    # module dict instead
+    fn = getattr(module, name)
+    assert inspect.isfunction(fn)
+    assert fn.__module__ == module.__name__
