@@ -65,12 +65,14 @@ from .returns import (
     VERTICAL,
     BetaArc,
     JnSlopeReport,
+    ReturnFrame,
     SlopedPoint,
     SlopeSearchResult,
     beta_arc,
     find_s_n0,
     i_n,
     jn_slope_check,
+    return_frame,
     slope_through_return,
     u0,
     window_exponent,

@@ -132,6 +132,13 @@ class CurveHandle:
             raise DomainError(f"s={s:g} outside handle range [{self.s_lo:g}, {self.s_hi:g}]")
         return self.word.apply(sys, self.base_point(s))
 
+    def level_y(self, sys: ModelSystem) -> float | None:
+        """The one ordinate of a horizontal base segment under linear atoms
+        only, taken from a base point as ``eval`` takes it; else None."""
+        if self.start[1] != self.end[1] or any(atom[0] != "linear" for atom in self.word.atoms):
+            return None
+        return self.word.apply(sys, self.base_point(self.s_lo))[1]
+
     def endpoints(self, sys: ModelSystem) -> tuple[Point, Point]:
         return self.eval(sys, self.s_lo), self.eval(sys, self.s_hi)
 
@@ -254,6 +261,8 @@ def build_b1(sys: ModelSystem, sn: SnRectangle) -> Box:
 def _edge_extreme_ys(sys: ModelSystem, handle: CurveHandle) -> tuple[float, float]:
     """(min_y, max_y) over the handle, Lobatto-sampled with one refinement
     pass around each extremum."""
+    if (y := handle.level_y(sys)) is not None:
+        return y, y
     ss = _lobatto(handle.s_lo, handle.s_hi, _EDGE_SAMPLES)
     ys = [handle.eval(sys, float(s))[1] for s in ss]
 
@@ -276,35 +285,42 @@ def _edge_extreme_ys(sys: ModelSystem, handle: CurveHandle) -> tuple[float, floa
 _FIBER_RESOLUTION = 1e-9
 
 
+def _fiber(y_t: float, y_b: float, y_d: float) -> tuple[float, float]:
+    """(length, gap) of a fiber from its top, bottom and delta ordinates."""
+    floor = _FIBER_RESOLUTION * max(abs(y_t), abs(y_b), abs(y_d))
+    lo, hi = (y_b, y_t) if y_b <= y_t else (y_t, y_b)
+    if y_d <= lo:
+        gap = lo - y_d
+    elif y_d >= hi:
+        gap = y_d - hi
+    else:
+        gap = 0.0
+    length = hi - lo
+    return (0.0 if length <= floor else length,
+            0.0 if gap <= floor else gap)
+
+
 def _fiber_metrics(sys: ModelSystem, box: Box) -> tuple[float, float]:
     """(max fiber length, max fiber gap) over the box abscissas.
 
     A fiber is the intersection of the box with a vertical line: its length
     is the top-to-bottom edge separation at that x, and its gap is the
-    shortest vertical segment connecting it to the delta curve.  Both maxima
-    get one refinement pass around the sampled argmax.  Values below the
-    x-inversion resolution of the fiber's own y scale are reported as 0.
+    shortest vertical segment connecting it to the delta curve.  If all three
+    curves have a ``level_y`` (every B_1), all fibers are that one.  Else both
+    maxima get one refinement pass around the sampled argmax.  Values below
+    the x-inversion resolution of the fiber's own y scale are reported as 0.
     """
+    edges = (box.top, box.bottom, box.delta)
+    levels = [handle.level_y(sys) for handle in edges]
+    if None not in levels:
+        return _fiber(*levels)
     inset = 1e-6 * max(box.x_hi - box.x_lo, 1e-300)
 
     # The refinement passes re-sample abscissas the first pass already has
     # (both maxima often sit at the same sample), so each fiber is kept.
     @functools.cache
     def fiber(x: float) -> tuple[float, float]:
-        y_t = box.top.eval(sys, box.top.invert_x(sys, x))[1]
-        y_b = box.bottom.eval(sys, box.bottom.invert_x(sys, x))[1]
-        y_d = box.delta.eval(sys, box.delta.invert_x(sys, x))[1]
-        floor = _FIBER_RESOLUTION * max(abs(y_t), abs(y_b), abs(y_d))
-        lo, hi = (y_b, y_t) if y_b <= y_t else (y_t, y_b)
-        if y_d <= lo:
-            gap = lo - y_d
-        elif y_d >= hi:
-            gap = y_d - hi
-        else:
-            gap = 0.0
-        length = hi - lo
-        return (0.0 if length <= floor else length,
-                0.0 if gap <= floor else gap)
+        return _fiber(*(handle.eval(sys, handle.invert_x(sys, x))[1] for handle in edges))
 
     xs = _lobatto(box.x_lo + inset, box.x_hi - inset, _FIBER_SAMPLES)
     data = [fiber(float(x)) for x in xs]
@@ -322,17 +338,19 @@ def _fiber_metrics(sys: ModelSystem, box: Box) -> tuple[float, float]:
 
 def box_metrics(sys: ModelSystem, box: Box) -> tuple[float, float, float]:
     """(W_k, H_k, L_k): horizontal width, largest vertical fiber length, and
-    largest vertical clearance between the box and the delta curve.  Heights
-    at deep words underflow to an honest 0.0; the comparisons downstream
-    remain valid."""
+    largest vertical clearance between the box and the delta curve.  A B_1
+    takes them in closed form from its level edges.  Heights at deep words
+    underflow to an honest 0.0; the comparisons downstream remain valid."""
     height, gap = _fiber_metrics(sys, box)
     return box.x_hi - box.x_lo, height, gap
 
 
 def max_edge_slope(sys: ModelSystem, box: Box) -> float:
-    """Largest |dy/dx| between consecutive samples of the two long edges."""
+    """Largest |dy/dx| between consecutive samples of the long edges; 0.0 on a level edge."""
     worst = 0.0
     for handle in (box.top, box.bottom):
+        if handle.level_y(sys) is not None:
+            continue
         pts = [handle.eval(sys, float(s)) for s in _lobatto(handle.s_lo, handle.s_hi, _EDGE_SAMPLES)]
         for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
             if x1 == x0:
@@ -354,10 +372,11 @@ def cascade_step(sys: ModelSystem, box: Box) -> tuple[Box, int, Box]:
     """
     if box.kind != "rectangle-like":
         raise DomainError("cascade steps start from rectangle-like boxes")
-    for v in box.vertices(sys):
+    vertices = box.vertices(sys)
+    for v in vertices:
         if not sys.in_uq(v):
             raise ChartExitError(f"box vertex ({v[0]:.6g}, {v[1]:.6g}) left U(q)")
-    images = [apply_phi(sys, v) for v in box.vertices(sys)]
+    images = [apply_phi(sys, v) for v in vertices]
     for w in images:
         if not sys.in_ur(w):
             raise ChartExitError(f"phi image ({w[0]:.6g}, {w[1]:.6g}) left U(r)")

@@ -46,7 +46,7 @@ from .moduli import (
 )
 from .rects import first_valid_n, fold_rectangles, level_range, scaling_fit
 from .reference import make_system
-from .returns import find_s_n0, slope_through_return
+from .returns import find_s_n0, return_frame
 
 COMMANDS = (
     "validate",
@@ -520,9 +520,10 @@ def cmd_slopes(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[dict]]:
     worst_returned = 0.0
     for x in np.linspace(rect.x_lo, rect.x_hi, 32):
         for y in np.linspace(rect.y_lo, rect.y_hi, 32):
+            frame = return_frame(sys, (float(x), float(y)))
             for slope in (0.0, 0.5 * cap, cap):
                 try:
-                    intermediate, returned = slope_through_return(sys, (float(x), float(y)), slope)
+                    intermediate, returned = frame.transport(sys, slope)
                 except SlopeLemmaCounterexample:
                     violations += 1
                     continue

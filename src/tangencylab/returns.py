@@ -51,6 +51,8 @@ __all__ = [
     "SlopeSearchResult",
     "window_exponent",
     "u0",
+    "ReturnFrame",
+    "return_frame",
     "slope_through_return",
     "i_n",
     "beta_arc",
@@ -134,6 +136,43 @@ def _rescale_slope(sys: ModelSystem, slope: float, k: int) -> float:
     return math.exp(t)
 
 
+@dataclass(frozen=True)
+class ReturnFrame:
+    """At ``point``: phi's Jacobian, the return (k, point) and R_eps membership."""
+
+    point: Point
+    jac: np.ndarray
+    k: int
+    returned_point: Point
+    in_rectangle: bool
+
+    def transport(self, sys: ModelSystem, slope: float) -> tuple[float, SlopedPoint]:
+        """``slope_through_return(sys, self.point, slope)``."""
+        if math.isnan(slope) or slope < 0.0 or math.isinf(slope):
+            raise DomainError(f"slope must be finite and nonnegative, got {slope}")
+        vx = float(self.jac[0, 0] + self.jac[0, 1] * slope)
+        vy = float(self.jac[1, 0] + self.jac[1, 1] * slope)
+        intermediate = VERTICAL if vx == 0.0 else abs(vy / vx)
+        returned = SlopedPoint(self.returned_point, _rescale_slope(sys, intermediate, self.k))
+        eps = sys.epsilon
+        if self.in_rectangle and slope <= eps**2.5:
+            bound = eps**-2.5
+            if not intermediate <= bound:
+                raise SlopeLemmaCounterexample(
+                    "transit slope exceeds the fold bound", point=self.point, slope=intermediate, bound=bound
+                )
+            if not returned.slope <= eps**2.5:
+                raise SlopeLemmaCounterexample(
+                    "returned slope left the horizontal cone", point=self.returned_point, slope=returned.slope, bound=eps**2.5
+                )
+        return intermediate, returned
+
+
+def return_frame(sys: ModelSystem, point: Point) -> ReturnFrame:
+    """The slope-free part of ``slope_through_return``; raises as ``u0``."""
+    return ReturnFrame(point, jacobian_phi(sys, point), *_u0_image(sys, point), return_rectangle(sys.epsilon).contains(point))
+
+
 def slope_through_return(sys: ModelSystem, point: Point, slope: float) -> tuple[float, SlopedPoint]:
     """Transport a direction of slope |dy/dx| through phi and the return.
 
@@ -146,34 +185,12 @@ def slope_through_return(sys: ModelSystem, point: Point, slope: float) -> tuple[
     returned.slope <= eps^(5/2) are asserted; a failure raises
     SlopeLemmaCounterexample (and would mean the expansion is too strong for
     the slope estimates, not a numerical accident).
+
+    It is ``return_frame(sys, point).transport(sys, slope)``, slope checked first.
     """
     if math.isnan(slope) or slope < 0.0 or math.isinf(slope):
         raise DomainError(f"slope must be finite and nonnegative, got {slope}")
-    jac = jacobian_phi(sys, point)
-    vx = float(jac[0, 0] + jac[0, 1] * slope)
-    vy = float(jac[1, 0] + jac[1, 1] * slope)
-    intermediate = VERTICAL if vx == 0.0 else abs(vy / vx)
-    k, returned_point = _u0_image(sys, point)
-    returned = SlopedPoint(returned_point, _rescale_slope(sys, intermediate, k))
-
-    eps = sys.epsilon
-    if return_rectangle(eps).contains(point) and slope <= eps**2.5:
-        bound = eps**-2.5
-        if not intermediate <= bound:
-            raise SlopeLemmaCounterexample(
-                "transit slope exceeds the fold bound",
-                point=point,
-                slope=intermediate,
-                bound=bound,
-            )
-        if not returned.slope <= eps**2.5:
-            raise SlopeLemmaCounterexample(
-                "returned slope left the horizontal cone",
-                point=returned_point,
-                slope=returned.slope,
-                bound=eps**2.5,
-            )
-    return intermediate, returned
+    return return_frame(sys, point).transport(sys, slope)
 
 
 def i_n(sys: ModelSystem, n: int) -> int:

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 from pathlib import Path
 
@@ -39,3 +40,14 @@ def cascade12(ref):
 @pytest.fixture(scope="session")
 def slope_search(ref):
     return tl.find_s_n0(ref)
+
+
+@pytest.fixture(scope="session")
+def bench_workloads():
+    """benchmarks/workloads.py, read in place: the benchmark's configs and
+    its check of a report against the pinned outputs."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
