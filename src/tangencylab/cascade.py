@@ -37,7 +37,6 @@ from .model import (
     apply_linear,
     apply_phi,
     chart_exit_index,
-    jacobian_phi,
     return_rectangle,
     tau_bounds,
 )
@@ -61,7 +60,8 @@ __all__ = [
 @dataclass(frozen=True)
 class MapWord:
     """A composition of chart maps: atoms ("linear", k) and ("phi",), applied
-    left to right.  Kept symbolic so Jacobians are exact chain products."""
+    left to right.  Kept symbolic so a curve can be re-sampled at full
+    precision at any depth."""
 
     atoms: tuple[tuple, ...] = ()
 
@@ -78,28 +78,6 @@ class MapWord:
             else:
                 raise DomainError(f"unknown map atom {atom[0]!r}")
         return p
-
-    def jacobian(self, sys: ModelSystem, point: Point) -> np.ndarray:
-        """Chain-rule Jacobian at ``point`` (2x2)."""
-        p = point
-        jac = np.eye(2)
-        for atom in self.atoms:
-            if atom[0] == "linear":
-                k = atom[1]
-                diag = np.array(
-                    [
-                        [_scale_power(1.0, sys.mu, k), 0.0],
-                        [0.0, _scale_power(1.0, sys.lam, k)],
-                    ]
-                )
-                jac = diag @ jac
-                p = apply_linear(sys, p, k)
-            elif atom[0] == "phi":
-                jac = jacobian_phi(sys, p) @ jac
-                p = apply_phi(sys, p)
-            else:
-                raise DomainError(f"unknown map atom {atom[0]!r}")
-        return jac
 
 
 @dataclass(frozen=True)

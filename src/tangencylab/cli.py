@@ -59,24 +59,6 @@ COMMANDS = (
     "conjugacy",
 )
 
-_SYSTEM_DEFAULTS: dict[str, object] = {
-    "lambda": 0.3,
-    "mu": 1.02,
-    "a": 1.0,
-    "b": -1.0,
-    "c": 1.0,
-    "d": -1.0,
-    "e": 0.0,
-    "m0": 1,
-    "h1_terms": [],
-    "h2_terms": [],
-    "seed_coeffs": [0.5],
-    "seed_domain": [-2.0, 2.0],
-    "chart_half_width": 2.0,
-    "uq_half_width": 0.3,
-    "ur_half_width": 0.3,
-}
-
 _TOLERANCE_DEFAULTS: dict[str, float] = {
     "order": 0.02,
     "coefficient": 0.02,
@@ -124,6 +106,8 @@ def _check_keys(mapping: dict, allowed, where: str) -> None:
 def _as_float(v, where: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{where} must be a number, got {v!r}")
+    if not abs(v) <= _sys.float_info.max:  # NaN, infinities, ints beyond the double range
+        raise ConfigError(f"{where} must be finite, got {v!r}")
     return float(v)
 
 
@@ -150,31 +134,39 @@ def _as_terms(v, where: str) -> tuple[tuple[int, int, float], ...]:
     return tuple(out)
 
 
+def _as_pair(v, where: str) -> tuple[float, float]:
+    pair = _as_float_list(v, where, 2)
+    if len(pair) != 2:
+        raise ConfigError(f"{where} must be a [lo, hi] pair")
+    return pair
+
+
+# Config key -> (make_system keyword, parser); absent keys take make_system's
+# defaults, which are the reference system.
+_SYSTEM_KEYS = {
+    "seed_domain": ("seed_domain", _as_pair),
+    "lambda": ("lam", _as_float),
+    "mu": ("mu", _as_float),
+    "a": ("a", _as_float),
+    "b": ("b", _as_float),
+    "c": ("c", _as_float),
+    "d": ("d", _as_float),
+    "e": ("e", _as_float),
+    "m0": ("m0", _as_int),
+    "h1_terms": ("h1_terms", _as_terms),
+    "h2_terms": ("h2_terms", _as_terms),
+    "seed_coeffs": ("seed_coeffs", _as_float_list),
+    "chart_half_width": ("chart_half_width", _as_float),
+    "uq_half_width": ("uq_half_width", _as_float),
+    "ur_half_width": ("ur_half_width", _as_float),
+}
+
+
 def _parse_system(raw: dict) -> ModelSystem:
-    _check_keys(raw, _SYSTEM_DEFAULTS, "system")
-    merged = dict(_SYSTEM_DEFAULTS)
-    merged.update(raw)
-    seed_domain = _as_float_list(merged["seed_domain"], "system.seed_domain", 2)
-    if len(seed_domain) != 2:
-        raise ConfigError("system.seed_domain must be a [lo, hi] pair")
+    _check_keys(raw, _SYSTEM_KEYS, "system")
+    kwargs = {kw: parse(raw[key], f"system.{key}") for key, (kw, parse) in _SYSTEM_KEYS.items() if key in raw}
     try:
-        return make_system(
-            lam=_as_float(merged["lambda"], "system.lambda"),
-            mu=_as_float(merged["mu"], "system.mu"),
-            a=_as_float(merged["a"], "system.a"),
-            b=_as_float(merged["b"], "system.b"),
-            c=_as_float(merged["c"], "system.c"),
-            d=_as_float(merged["d"], "system.d"),
-            e=_as_float(merged["e"], "system.e"),
-            m0=_as_int(merged["m0"], "system.m0"),
-            h1_terms=_as_terms(merged["h1_terms"], "system.h1_terms"),
-            h2_terms=_as_terms(merged["h2_terms"], "system.h2_terms"),
-            seed_coeffs=_as_float_list(merged["seed_coeffs"], "system.seed_coeffs"),
-            seed_domain=seed_domain,
-            chart_half_width=_as_float(merged["chart_half_width"], "system.chart_half_width"),
-            uq_half_width=_as_float(merged["uq_half_width"], "system.uq_half_width"),
-            ur_half_width=_as_float(merged["ur_half_width"], "system.ur_half_width"),
-        )
+        return make_system(**kwargs)
     except DomainError as exc:
         raise ConfigError(f"system parameters rejected: {exc}") from exc
 

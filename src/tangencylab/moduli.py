@@ -349,7 +349,7 @@ def _branch_x_range(curve, lo: float, hi: float) -> tuple[float, float]:
 def _branch_y_at(curve, lo: float, hi: float, x: float) -> float:
     """Height of an x-monotone parameterized branch over abscissa x."""
     try:
-        t = _bisect(lambda t: curve(t)[0] - x, lo, hi, xtol=1e-15)
+        t = _bisect(lambda t: curve(t)[0] - x, lo, hi)
     except _NoSignChange as exc:
         raise NumericError(f"abscissa {x:.6g} not bracketed on the branch", residual=exc.residual) from None
     return curve(t)[1]

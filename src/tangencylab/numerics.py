@@ -1,10 +1,10 @@
 """Small shared numerics: guarded Newton iteration and the bracketed bisection
 behind every root search of the package.
 
-A bisection that runs until the bracket collapses onto two neighbouring
-doubles (``tol = xtol = 0``, as in every curve inversion) takes ITP steps
-(Oliveira & Takahashi, ACM TOMS 47(1), 2020) in place of midpoints: the
-regula falsi point, truncated towards the midpoint by k1 * width**k2.
+Every search has one stop rule: an exact zero at a trial point, or the
+collapse of the bracket onto two neighbouring doubles.  Trial points are ITP
+steps (Oliveira & Takahashi, ACM TOMS 47(1), 2020) in place of midpoints:
+the regula falsi point, truncated towards the midpoint by k1 * width**k2.
 ITP's projection, which keeps the search within n0 = 1 step of bisection,
 is kept in steps rather than widths.  The search replays bisection's own
 brackets on the signs it has seen, and when it has no step to spare it
@@ -14,10 +14,6 @@ about 1% of random brackets take two steps more than bisection.  Counted
 this way the bound is exact: for an f that changes sign once in the
 bracket, the search makes at most one evaluation more than bisection on the
 same bracket, and where f is smooth it makes about half as many.
-
-Searches that stop at a residual or width tolerance keep plain midpoints:
-the point they stop at feeds reported values, and the tolerance tests of
-``tests/test_numerics.py`` pin that halving sequence.
 """
 
 from __future__ import annotations
@@ -38,17 +34,17 @@ def solve_newton(
     x0: float,
     *,
     tol: float,
-    bracket: tuple[float, float] | None = None,
+    bracket: tuple[float, float],
 ) -> float:
-    """Root of f near x0 with |f(root)| <= tol.
+    """Root of f near x0 in the bracket, with |f(root)| <= tol.
 
     Newton steps are taken while they behave (finite derivative, iterate
-    inside the bracket when one is given); otherwise the solver falls back to
-    bisection on the bracket.  Raises NumericError with the final residual if
-    neither converges.
+    inside the bracket); otherwise the solver falls back to bisection on the
+    bracket.  Raises NumericError with the final residual if neither
+    converges.
     """
     x = float(x0)
-    lo, hi = (None, None) if bracket is None else (min(bracket), max(bracket))
+    lo, hi = min(bracket), max(bracket)
     for _ in range(_MAX_NEWTON_STEPS):
         fx = f(x)
         if abs(fx) <= tol:
@@ -58,7 +54,7 @@ def solve_newton(
             break
         step = fx / dfx
         nxt = x - step
-        if lo is not None and not (lo <= nxt <= hi):
+        if not (lo <= nxt <= hi):
             break
         if nxt == x:
             return _bisect_or_fail(f, lo, hi, tol, fx)
@@ -70,16 +66,19 @@ def solve_newton(
 
 
 def _bisect_or_fail(f, lo, hi, tol, last_residual) -> float:
-    """The bisection fallback of :func:`solve_newton`; errors carry the
-    residual Newton stopped at."""
-    if lo is None:
-        raise NumericError("Newton iteration failed and no bracket was given", residual=abs(last_residual))
+    """The bisection fallback of :func:`solve_newton`: the root of
+    :func:`_bisect`, if |f| <= tol there.  A bracket without a sign change
+    reports the residual Newton stopped at."""
     try:
-        return _bisect(f, lo, hi, tol=tol)
+        root = _bisect(f, lo, hi)
     except _NoSignChange:
         raise NumericError(
             "no sign change in bracket for bisection fallback", residual=abs(last_residual)
         ) from None
+    residual = abs(f(root))
+    if not residual <= tol:
+        raise NumericError("bisection stalled above tolerance", residual=residual)
+    return root
 
 
 class _NoSignChange(NumericError):
@@ -128,25 +127,20 @@ def _replay_halvings(halves: tuple[float, float], lo: float, hi: float) -> tuple
     return (h_lo, h_hi), count
 
 
-def _bisect(f, lo: float, hi: float, *, tol: float = 0.0, xtol: float = 0.0) -> float:
-    """Root of f in the bracket [lo, hi] by bisection.
+def _bisect(f, lo: float, hi: float) -> float:
+    """Root of f in the bracket [lo, hi], to machine precision.
 
     An end where f is exactly 0 is returned as is; ends where f has the same
-    sign raise _NoSignChange with the smaller end residual.  The trial point
-    t is returned as soon as |f(t)| <= tol or the bracket it splits is at
-    most xtol * (1 + |t|) wide.  A bracket that can no longer be halved (or
-    200 steps) ends the search: with tol = 0 its midpoint is the root to
-    machine precision, with tol > 0 it raises NumericError with the residual
-    there.  Signs are compared, never multiplied, so tiny values cannot
-    underflow the test.
+    sign raise _NoSignChange with the smaller end residual.  The search has
+    one stop rule: a trial point where f is exactly 0 is returned, and
+    otherwise a bracket that can no longer be halved (or 200 steps) ends the
+    search with its midpoint.  Signs are compared, never multiplied, so tiny
+    values cannot underflow the test.
 
-    With tol = xtol = 0 only an exact zero or the collapse of the bracket
-    ends the search, so it takes ITP steps (:func:`_itp_point`) while it
-    has a step to spare over bisection's halvings, replayed by
+    Trial points are ITP steps (:func:`_itp_point`) while the search has a
+    step to spare over bisection's halvings, replayed by
     :func:`_replay_halvings`, and bisection's next midpoint when it has
-    none: at most _ITP_N0 = 1 evaluation beyond bisection's count.  With a
-    tolerance every trial point is the midpoint, so the tolerance stops
-    return the point of plain bisection's halving sequence.
+    none: at most _ITP_N0 = 1 evaluation beyond bisection's count.
     """
     f_lo, f_hi = f(lo), f(hi)
     if f_lo == 0.0:
@@ -156,28 +150,19 @@ def _bisect(f, lo: float, hi: float, *, tol: float = 0.0, xtol: float = 0.0) -> 
     sign_lo = math.copysign(1.0, f_lo)
     if sign_lo == math.copysign(1.0, f_hi):
         raise _NoSignChange("no sign change in bracket", residual=min(abs(f_lo), abs(f_hi)))
-    exhaust = tol == 0.0 and xtol == 0.0
     width0, halves, spare = hi - lo, (lo, hi), _ITP_N0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        t = mid
-        if exhaust:
-            halves, gained = _replay_halvings(halves, lo, hi)
-            spare += gained - 1
-            if spare >= 0:
-                t = _itp_point(lo, hi, f_lo, f_hi, mid, width0)
-            else:
-                t = 0.5 * (halves[0] + halves[1])
+        halves, gained = _replay_halvings(halves, lo, hi)
+        spare += gained - 1
+        t = _itp_point(lo, hi, f_lo, f_hi, mid, width0) if spare >= 0 else 0.5 * (halves[0] + halves[1])
         f_t = f(t)
-        if abs(f_t) <= tol or abs(hi - lo) <= xtol * (1.0 + abs(t)):
+        if f_t == 0.0:
             return t
         if math.copysign(1.0, f_t) == sign_lo:
             lo, f_lo = t, f_t
         else:
             hi, f_hi = t, f_t
-    mid = 0.5 * (lo + hi)
-    if tol > 0.0:
-        raise NumericError("bisection stalled above tolerance", residual=abs(f(mid)))
-    return mid
+    return 0.5 * (lo + hi)

@@ -70,6 +70,28 @@ def test_bad_values_rejected(tmp_path):
         load_config(_write(tmp_path, {"commands": ["fly"]}, "e.json"))
 
 
+@pytest.mark.parametrize(
+    ("payload", "key"),
+    [
+        ({"tolerances": {"order": float("inf")}}, "tolerances.order"),
+        ({"s_grid": [float("nan")]}, "s_grid[0]"),
+        ({"system": {"seed_coeffs": [float("nan")]}}, "system.seed_coeffs[0]"),
+        ({"system": {"chart_half_width": float("inf")}}, "system.chart_half_width"),
+        ({"system": {"h1_terms": [[2, 1, float("nan")]]}}, "system.h1_terms[0][2]"),
+        ({"system": {"mu": 10**400}}, "system.mu"),
+    ],
+)
+def test_non_finite_numbers_exit_two(tmp_path, capsys, payload, key):
+    # json.loads reads NaN and Infinity; the config names the key instead of
+    # letting a comparison with NaN pass silently.
+    assert run(_write(tmp_path, payload), "validate", out_dir=str(tmp_path / "out")) == 2
+    assert f"config error: {key} must be finite" in capsys.readouterr().err
+
+
+def test_empty_system_is_the_reference_system(tmp_path):
+    assert load_config(_write(tmp_path, {"system": {}})).system == tl.make_system()
+
+
 def test_validate_command_passes(ref_config, tmp_path):
     out = tmp_path / "out"
     assert run(ref_config, "validate", out_dir=str(out)) == 0

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tangencylab as tl
+from tangencylab import moduli
 from tangencylab.moduli import (
     correspondence_points,
     eigenvalue_estimates,
@@ -21,6 +22,7 @@ from tangencylab.moduli import (
     return_record,
     sn_cn_series,
 )
+from tangencylab.rects import first_valid_n, fold_rectangles
 
 # fundamental-domain exponents for n = 8..18, pinned by an exact rational
 # recomputation (m(10) sits 2.1e-4 from the domain boundary and is the one
@@ -178,6 +180,26 @@ def test_intersection_rescale_pair(ref):
     pair = rescale_pair(ref, 1)
     for n in range(10, 17):
         assert intersection_check(pair, n)
+
+
+def test_intersection_check_decides_each_level_from_few_fold_points(ref, monkeypatch):
+    # Each branch height is one bracket-exhausting search; an operation
+    # count, not wall time, guards that work.
+    calls = []
+    fold_point = moduli.fold_point
+
+    def counted(sys, n, t):
+        calls.append(t)
+        return fold_point(sys, n, t)
+
+    monkeypatch.setattr(moduli, "fold_point", counted)
+    levels = [S.n for S in fold_rectangles(ref, 8, 18)]
+    for pair, limit in ((rescale_pair(ref, 1), 200), (identity_pair(ref), 100)):
+        calls.clear()
+        assert [intersection_check(pair, n) for n in levels] == [True] * len(levels)
+        assert len(calls) <= limit
+    mism = mismatched_pair(ref, 0.5)
+    assert not intersection_check(mism, max(first_valid_n(mism.sys_0), first_valid_n(mism.sys_1)))
 
 
 def test_mismatched_pair_diagnostics(ref):

@@ -45,24 +45,6 @@ def test_bisect_returns_endpoint_roots_exactly():
     assert len(calls) == 4  # the two ends of each bracket, nothing more
 
 
-def test_bisect_stops_at_residual_tolerance():
-    # Midpoints 1/2, 1/4, 3/8, ... of [0, 1]; the ninth, 0.333984375, is the
-    # first within 1e-3 of the root 1/3.
-    f, calls = _counted(lambda t: t - 1.0 / 3.0)
-    t = _bisect(f, 0.0, 1.0, tol=1e-3)
-    assert t == 0.333984375
-    assert len(calls) == 2 + 9
-
-
-def test_bisect_stops_at_bracket_width():
-    # The bracket halved at step i is 2^-i wide; 2^-20 is the first width at
-    # most 1e-6 * (1 + |t|) near t = 1/3, so the 21st midpoint is returned.
-    f, calls = _counted(lambda t: t - 1.0 / 3.0)
-    t = _bisect(f, 0.0, 1.0, xtol=1e-6)
-    assert len(calls) == 2 + 21
-    assert abs(t - 1.0 / 3.0) <= 2.0**-20
-
-
 def test_bisect_runs_until_the_bracket_cannot_be_halved():
     # t*t - 2 has no floating-point zero, so only the collapse of the bracket
     # onto two neighbouring doubles stops the search.
@@ -71,11 +53,6 @@ def test_bisect_runs_until_the_bracket_cannot_be_halved():
     t = _bisect(f, 1.0, 2.0)
     assert abs(t - root) <= math.ulp(root)
     assert len(set(calls)) == len(calls)  # no midpoint evaluated twice
-    # With a residual tolerance the floor of |f| cannot reach, the collapse
-    # is a failure that reports the residual there.
-    with pytest.raises(NumericError, match="stalled") as info:
-        _bisect(lambda t: t * t - 2.0, 1.0, 2.0, tol=1e-20)
-    assert 0.0 < info.value.residual < 1e-15
 
 
 def test_bisect_compares_signs_without_underflow():
@@ -86,8 +63,8 @@ def test_bisect_compares_signs_without_underflow():
 
 
 def _halving_count(f, lo: float, hi: float) -> int:
-    """Evaluations plain bisection spends on [lo, hi] with tol = xtol = 0:
-    the reference the ITP steps are bounded by."""
+    """Evaluations plain bisection spends on [lo, hi] until the bracket
+    collapses: the reference the ITP steps are bounded by."""
     f_lo, f_hi = f(lo), f(hi)
     count = 2
     if f_lo == 0.0 or f_hi == 0.0:
@@ -166,6 +143,27 @@ def test_newton_falls_back_when_a_step_leaves_the_bracket(monkeypatch):
     root = solve_newton(f, fprime, 3.0, tol=1e-12, bracket=(-2.0, 4.0))
     assert len(fallbacks) == 1
     assert abs(f(root)) <= 1e-12
+
+
+def test_newton_fallback_stalls_above_an_unreachable_tolerance():
+    # Newton settles next to sqrt(2), where no double reaches |f| <= 1e-20;
+    # the fallback's collapsed bracket is a failure that reports the residual
+    # there.
+    with pytest.raises(NumericError, match="stalled") as info:
+        solve_newton(lambda t: t * t - 2.0, lambda t: 2.0 * t, 1.5, tol=1e-20, bracket=(1.0, 2.0))
+    assert 0.0 < info.value.residual < 1e-15
+
+
+def test_newton_fallback_returns_the_bracket_exhausted_root():
+    # A zero derivative sends the first step to the fallback, which runs the
+    # bracket down to the double of 1/3 even though tol would accept a
+    # point 1e-3 away.
+    def f(x):
+        return x - 1.0 / 3.0
+
+    root = solve_newton(f, lambda x: 0.0, 0.5, tol=1e-3, bracket=(0.0, 1.0))
+    assert root == 1.0 / 3.0
+    assert f(math.nextafter(root, 0.0)) < 0.0 < f(math.nextafter(root, 1.0))
 
 
 def test_newton_fallback_without_sign_change_reports_residual():
