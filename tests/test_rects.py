@@ -169,3 +169,41 @@ def test_branches_tile_the_extended_window(ref):
             assert lo < hi
             xs = np.diff([fold_x(ref, S.n, float(t)) for t in np.linspace(lo, hi, 33)])
             assert (xs >= 0.0).all() or (xs <= 0.0).all()
+
+
+# build_sn on jets with an H1 term k*x^4.  The quartic bends the hook: for
+# k = 50 the left cap leaves the arc window, for k = 300 at deep levels too,
+# and for larger k the tangency solve finds no zero of X' left of 0.
+_QUARTIC_OUTCOMES = {
+    (10, 8): None,
+    (10, 10): None,
+    (10, 12): None,
+    (50, 8): tl.WindowExceededError,
+    (50, 10): tl.WindowExceededError,
+    (50, 12): tl.WindowExceededError,
+    (300, 8): tl.NumericError,
+    (300, 10): tl.NumericError,
+    (300, 12): tl.WindowExceededError,
+    (1000, 8): tl.NumericError,
+    (1000, 10): tl.NumericError,
+    (1000, 12): tl.NumericError,
+}
+
+
+@pytest.mark.parametrize("k, n", sorted(_QUARTIC_OUTCOMES))
+def test_build_sn_outcome_on_quartic_jets(k, n):
+    sys = tl.make_system(h1_terms=((4, 0, k),))
+    outcome = _QUARTIC_OUTCOMES[k, n]
+    if outcome is None:
+        S = build_sn(sys, n)
+        assert S.t_ext_minus < S.t_minus < 0.0 < S.t_plus < S.t_ext_plus
+        assert list(fold_rectangles(sys, n, n)) == [S]
+        return
+    with pytest.raises(outcome) as info:
+        build_sn(sys, n)
+    assert type(info.value) is outcome
+    if outcome is tl.NumericError:
+        assert str(info.value).startswith("no sign change in bracket")
+    else:
+        # fold_rectangles skips exactly the levels whose cap leaves the window
+        assert list(fold_rectangles(sys, n, n)) == []
