@@ -439,30 +439,12 @@ def cmd_rects(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[dict]]:
     if len(ns) < 5:
         raise DomainError(f"need at least five valid levels in n_range, got {ns}")
 
-    rows = []
-    for S in sns:
-        rows.append(
-            (
-                S.n,
-                S.t_minus,
-                S.t_plus,
-                S.t_ext_minus,
-                S.t_ext_plus,
-                S.rect.x_lo,
-                S.rect.x_hi,
-                S.rect.y_lo,
-                S.rect.y_hi,
-                S.width,
-                S.height,
-                S.dist,
-                S.rho,
-            )
-        )
-    _write_csv(
-        out / "rects.csv",
-        ("n", "t_minus", "t_plus", "t_ext_minus", "t_ext_plus", "x_lo", "x_hi", "y_lo", "y_hi", "width", "height", "dist", "rho"),
-        rows,
-    )
+    rows = [
+        (S.n, S.t_minus, S.t_plus, S.t_ext_minus, S.t_ext_plus, S.rect.x_lo, S.rect.x_hi, S.rect.y_lo, S.rect.y_hi, S.width, S.height, S.dist, S.rho)
+        for S in sns
+    ]
+    header = ("n", "t_minus", "t_plus", "t_ext_minus", "t_ext_plus", "x_lo", "x_hi", "y_lo", "y_hi", "width", "height", "dist", "rho")
+    _write_csv(out / "rects.csv", header, rows)
 
     kappa_w, _ = scaling_fit([(S.n, S.width) for S in sns], sys.lam)
     kappa_h, _ = scaling_fit([(S.n, S.height) for S in sns], sys.lam)

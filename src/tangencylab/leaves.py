@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model import _MEMBERSHIP_TOL, ModelSystem, Point, _phi_jacobian, _phi_parts, _poly, signed_power
-from .numerics import solve_newton
+from .numerics import Polynomial, solve_newton
 
 __all__ = [
     "SeedArc",
@@ -56,25 +56,17 @@ class SeedArc:
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
         if self.z0 <= 0.0:
             raise DomainError("seed must cross the stable axis at positive height")
-        if self.eval(np.linspace(lo, hi, 2001))[0].min() <= 0.0:
+        if self.eval(np.linspace(lo, hi, 2001)).min() <= 0.0:
             raise DomainError("seed arc must be positive on its whole domain")
 
     @property
     def z0(self) -> float:
         return self.coeffs[0]
 
-    def eval(self, x: float, order: int = 0) -> tuple[float, ...]:
-        """(y0(x), y0'(x), ..., the order-th derivative) in one Horner loop.
-
-        Each entry runs Horner's rule over the differentiated coefficients
-        i!/(i-k)! * c_i, so it rounds exactly as np.polyval on them does.
-        ``x`` may be a numpy array.
-        """
-        acc = [0.0] * (order + 1)
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            for k in range(min(order, i) + 1):
-                acc[k] = acc[k] * x + math.perm(i, k) * self.coeffs[i]
-        return tuple(acc)
+    def eval(self, x: float) -> float:
+        """y0(x) by Horner's rule, which rounds as np.polyval does.  ``x`` may
+        be a numpy array or a Polynomial."""
+        return Polynomial(self.coeffs)(x)
 
     def contains(self, x: float) -> bool:
         return self.domain[0] - _MEMBERSHIP_TOL <= x <= self.domain[1] + _MEMBERSHIP_TOL
@@ -95,27 +87,19 @@ def t_window(sys: ModelSystem) -> tuple[float, float]:
     return (u**-3 - 1.0, u**3 - 1.0)
 
 
-def _pullback(sys: ModelSystem, n: int, t: float) -> tuple[float, float]:
-    """(mu^-n, mu^-n (t + 1)): the scale of the n-th arc and the seed
-    abscissa under its parameter t."""
-    s = signed_power(sys.mu, -n)
-    return s, s * (t + 1.0)
+def _pullback(sys: ModelSystem, n: int, t: float) -> float:
+    """mu^-n (t + 1), the seed abscissa under the n-th arc's parameter t."""
+    return signed_power(sys.mu, -n) * (t + 1.0)
 
 
-def _arc_jet(
-    sys: ModelSystem, n: int, t: float, order: int, pullback: tuple[float, float] | None = None
-) -> tuple[float, ...]:
-    """(y_n, dy_n/dt, ...) up to ``order`` at parameter t, from one pullback
-    x = mu^-n (t + 1) of the seed; the k-th derivative carries mu^-kn.
-    ``pullback`` is ``_pullback(sys, n, t)`` when the caller already has it."""
-    s, x = pullback if pullback is not None else _pullback(sys, n, t)
-    lam_n = signed_power(sys.lam, n)
-    return tuple(lam_n * s**k * dk for k, dk in enumerate(sys.seed.eval(x, order)))
+def _height(sys: ModelSystem, n: int, x: float) -> float:
+    """y_n = lam^n y0(x) over the seed abscissa x = ``_pullback(sys, n, t)``."""
+    return signed_power(sys.lam, n) * sys.seed.eval(x)
 
 
 def arc_height(sys: ModelSystem, n: int, t: float) -> float:
     """y-level of the n-th arc at parameter t (may underflow to 0 for deep n)."""
-    return _arc_jet(sys, n, t, 0)[0]
+    return _height(sys, n, _pullback(sys, n, t))
 
 
 def alpha(sys: ModelSystem, n: int, t: float) -> ArcPoint:
@@ -125,10 +109,10 @@ def alpha(sys: ModelSystem, n: int, t: float) -> ArcPoint:
     lo, hi = t_window(sys)
     if not (lo - _MEMBERSHIP_TOL <= t <= hi + _MEMBERSHIP_TOL):
         raise DomainError(f"t={t:g} outside arc window [{lo:g}, {hi:g}]")
-    pullback = _pullback(sys, n, t)
-    if not sys.seed.contains(pullback[1]):
-        raise DomainError(f"arc preimage {pullback[1]:g} outside the seed domain")
-    return ArcPoint(n, t, (t + 1.0, _arc_jet(sys, n, t, 0, pullback)[0]))
+    x = _pullback(sys, n, t)
+    if not sys.seed.contains(x):
+        raise DomainError(f"arc preimage {x:g} outside the seed domain")
+    return ArcPoint(n, t, (t + 1.0, _height(sys, n, x)))
 
 
 def stable_leaf_v(sys: ModelSystem, x: float) -> float:

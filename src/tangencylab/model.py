@@ -369,17 +369,6 @@ def jacobian_phi(sys: ModelSystem, point: Point) -> np.ndarray:
     return np.array(_phi_jacobian(sys, point[0] - 1.0, point[1]))
 
 
-def phi_x_derivatives(sys: ModelSystem, x: float, y: float) -> tuple[float, float, float, float, float]:
-    """First and second partials of pr_x(phi) in local offsets (x, y):
-    (Fx, Fy, Fxx, Fxy, Fyy).  Used by the vertical tangency solver."""
-    t = sys.transition
-    fx, fy = _phi_jacobian(sys, x, y)[0]
-    fxx = 6.0 * t.c * x + _poly(t.h1_terms, x, y, dx=2)
-    fxy = t.b + _poly(t.h1_terms, x, y, dx=1, dy=1)
-    fyy = _poly(t.h1_terms, x, y, dy=2)
-    return fx, fy, fxx, fxy, fyy
-
-
 @dataclass(frozen=True)
 class Condition:
     name: str

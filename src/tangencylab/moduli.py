@@ -10,17 +10,17 @@ rescalings implemented here are the conjugacies that realize equal moduli.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
-from functools import cache
 
 import numpy as np
 
 from .cases import classify_system
 from .errors import DomainError, NotFoundError, NumericError, WrongQuadrantError
 from .model import ModelSystem, Point, _window_power, apply_linear, apply_phi, signed_power
-from .numerics import _bisect, _NoSignChange
-from .rects import build_sn, fold_point
+from .numerics import Polynomial, real_roots
+from .rects import SnRectangle, build_sn, fold_point
 
 __all__ = [
     "ReturnRecord",
@@ -340,19 +340,20 @@ def lemma_constant(pair: ConjugacyPair, tau: float) -> float:
     return num / (base**tau * signed_power(pair.sys_1.mu, pair.m0_shift))
 
 
-def _branch_x_range(curve, lo: float, hi: float) -> tuple[float, float]:
-    xa = curve(lo)[0]
-    xb = curve(hi)[0]
-    return (xa, xb) if xa <= xb else (xb, xa)
+def _branches(S: SnRectangle, factors: Point) -> list[tuple[float, float, Polynomial, Polynomial]]:
+    """The three x-monotone branches of the fold under the diagonal map
+    (x, y) -> (fx*x, fy*y): (s_lo, s_hi, X, Y) in s = t / scale."""
+    scale, x, y = S.fold
+    return [(lo / scale, hi / scale, x * factors[0], y * factors[1]) for lo, hi in S.branches]
 
 
-def _branch_y_at(curve, lo: float, hi: float, x: float) -> float:
-    """Height of an x-monotone parameterized branch over abscissa x."""
-    try:
-        t = _bisect(lambda t: curve(t)[0] - x, lo, hi)
-    except _NoSignChange as exc:
-        raise NumericError(f"abscissa {x:.6g} not bracketed on the branch", residual=exc.residual) from None
-    return curve(t)[1]
+def _branch_y_at(branch, x: float) -> float:
+    """Height of an x-monotone branch over abscissa x."""
+    lo, hi, px, py = branch
+    roots = real_roots(px + -x, lo, hi)
+    if not roots:
+        raise NumericError(f"abscissa {x:.6g} not reached on the branch")
+    return py(roots[0])
 
 
 _INTERSECTION_TOL = 1e-9
@@ -362,52 +363,30 @@ def intersection_check(pair: ConjugacyPair, n: int) -> bool:
     """Does h(f^shift(gamma'_n of sys_0)) meet gamma'_n of sys_1?
 
     Both curves are split into their three x-monotone branches (left tail,
-    hook, right tail); every branch pair with overlapping abscissa ranges is
+    hook, right tail); h o f^shift is diagonal, so each branch is a pair of
+    fold polynomials.  Every branch pair with overlapping abscissa ranges is
     compared through the vertical offset, counting a sign change or an
-    offset within ``_INTERSECTION_TOL`` as an intersection.  The sampling is refined twice
-    before giving up.  Disjoint abscissa ranges throughout mean the curves
-    live at different depths and the answer is False.
+    offset within ``_INTERSECTION_TOL`` as an intersection.  The sampling is
+    refined twice before giving up.  Disjoint abscissa ranges throughout mean
+    the curves live at different depths and the answer is False.
     """
-    sys0, sys1 = pair.sys_0, pair.sys_1
-    s0 = build_sn(sys0, n)
-    s1 = build_sn(sys1, n)
-
-    # The branch ends are evaluated again by every bisection; remember them.
-    @cache
-    def curve0(t: float) -> Point:
-        p = fold_point(sys0, n, t)
-        if pair.m0_shift:
-            p = apply_linear(sys0, p, pair.m0_shift)
-        return pair.h(p)
-
-    # For the identity pair h and the shift are exact no-ops: one curve.
-    if sys0 == sys1 and pair.h_scale == (1.0, 1.0) and pair.m0_shift == 0:
-        curve1 = curve0
-    else:
-
-        @cache
-        def curve1(t: float) -> Point:
-            return fold_point(sys1, n, t)
-
+    branches0 = _branches(build_sn(pair.sys_0, n), pair.h(apply_linear(pair.sys_0, (1.0, 1.0), pair.m0_shift)))
+    branches1 = _branches(build_sn(pair.sys_1, n), (1.0, 1.0))
     for count in (65, 129, 257):
-        for lo0, hi0 in s0.branches:
-            xr0 = _branch_x_range(curve0, lo0, hi0)
-            for lo1, hi1 in s1.branches:
-                xr1 = _branch_x_range(curve1, lo1, hi1)
-                x_lo = max(xr0[0], xr1[0])
-                x_hi = min(xr0[1], xr1[1])
-                if x_hi <= x_lo:
-                    continue
-                inset = 1e-9 * (x_hi - x_lo)
-                xs = np.linspace(x_lo + inset, x_hi - inset, count)
-                prev = None
-                for x in xs:
-                    off = _branch_y_at(curve0, lo0, hi0, float(x)) - _branch_y_at(curve1, lo1, hi1, float(x))
-                    if abs(off) <= _INTERSECTION_TOL:
-                        return True
-                    if prev is not None and math.copysign(1.0, off) != math.copysign(1.0, prev):
-                        return True
-                    prev = off
+        for b0, b1 in itertools.product(branches0, branches1):
+            (xa0, xb0), (xa1, xb1) = (sorted((px(lo), px(hi))) for lo, hi, px, _ in (b0, b1))
+            x_lo, x_hi = max(xa0, xa1), min(xb0, xb1)
+            if x_hi <= x_lo:
+                continue
+            inset = 1e-9 * (x_hi - x_lo)
+            prev = None
+            for x in np.linspace(x_lo + inset, x_hi - inset, count):
+                off = _branch_y_at(b0, float(x)) - _branch_y_at(b1, float(x))
+                if abs(off) <= _INTERSECTION_TOL:
+                    return True
+                if prev is not None and math.copysign(1.0, off) != math.copysign(1.0, prev):
+                    return True
+                prev = off
     return False
 
 

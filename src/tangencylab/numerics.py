@@ -1,5 +1,5 @@
-"""Small shared numerics: guarded Newton iteration and the bracketed bisection
-behind every root search of the package.
+"""Small shared numerics: guarded Newton iteration, the bracketed bisection
+behind every root search of the package, and the real roots of polynomials.
 
 Every search has one stop rule: an exact zero at a trial point, or the
 collapse of the bracket onto two neighbouring doubles.  Trial points are ITP
@@ -18,12 +18,14 @@ same bracket, and where f is smooth it makes about half as many.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from typing import Callable
 
 from .errors import NumericError
 
-__all__ = ["solve_newton"]
+__all__ = ["Polynomial", "real_roots", "solve_newton"]
 
 _MAX_NEWTON_STEPS = 60
 
@@ -166,3 +168,79 @@ def _bisect(f, lo: float, hi: float) -> float:
         else:
             hi, f_hi = t, f_t
     return 0.5 * (lo + hi)
+
+
+class Polynomial(tuple):
+    """A real polynomial as its ascending coefficients.  It has the + and *
+    (with numbers or Polynomials) and integer ** of phi's formulas, so the
+    model's own evaluation code, run on Polynomials, returns coefficients."""
+
+    __array_ufunc__ = None  # numpy scalars take the reflected operators
+
+    def __add__(self, other):
+        other = other if isinstance(other, Polynomial) else Polynomial((other,))
+        short, long = sorted((self, other), key=len)
+        return Polynomial((*map(operator.add, long, short), *long[len(short) :]))
+
+    def __mul__(self, other):
+        other = other if isinstance(other, Polynomial) else Polynomial((other,))
+        out = [0.0] * (len(self) + len(other) - 1)
+        for (i, a), (j, b) in itertools.product(enumerate(self), enumerate(other)):
+            out[i + j] += a * b
+        return Polynomial(out)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __pow__(self, k: int):
+        return math.prod([self] * k, start=Polynomial((1.0,)))
+
+    def __call__(self, x: float) -> float:
+        acc = 0.0
+        for c in reversed(self):
+            acc = acc * x + c
+        return acc
+
+    def derivative(self) -> "Polynomial":
+        return Polynomial(k * c for k, c in enumerate(self) if k)
+
+    def trimmed(self) -> "Polynomial":
+        """Without trailing zero coefficients."""
+        return Polynomial(self[: max((k + 1 for k, c in enumerate(self) if c != 0.0), default=0)])
+
+
+def real_roots(p: Polynomial, lo: float, hi: float) -> list[float]:
+    """The distinct real roots of p in (lo, hi], ascending.
+
+    Sturm's theorem counts them on an interval; halving isolates each one,
+    and :func:`_bisect` polishes it once p changes sign across its interval.
+    A root that halving cannot separate in doubles (a multiple root, a
+    cluster) is the upper end of its two-double interval.
+    """
+    chain, nxt = [p.trimmed()], p.trimmed().derivative()
+    while nxt:  # Sturm sequence: each member is minus the remainder of the two before it
+        chain.append(nxt)
+        rem = list(chain[-2])
+        while len(rem) >= len(nxt):
+            q = rem.pop() / nxt[-1]  # the cancelled leading term is dropped
+            for i in range(1, len(nxt)):
+                rem[-i] -= q * nxt[-1 - i]
+        nxt = Polynomial(-r for r in rem).trimmed()
+
+    def changes(x: float) -> int:
+        signs = [v > 0.0 for v in (q(x) for q in chain) if v != 0.0]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    roots, todo = [], [(lo, hi, changes(lo), changes(hi))]
+    while todo:
+        a, b, v_a, v_b = todo.pop()
+        if v_a == v_b:
+            continue
+        mid, f_a, f_b = 0.5 * (a + b), p(a), p(b)
+        if v_a - v_b == 1 and f_a != 0.0 and f_b != 0.0 and (f_a > 0.0) != (f_b > 0.0):
+            roots.append(_bisect(p, a, b))
+        elif (v_a - v_b == 1 and f_b == 0.0) or mid in (a, b):
+            roots.append(b)
+        else:
+            v_mid = changes(mid)
+            todo += [(mid, b, v_mid, v_b), (a, mid, v_a, v_mid)]
+    return roots

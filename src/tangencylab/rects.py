@@ -7,13 +7,16 @@ sides pass through them and whose horizontal sides cap the curve between the
 an abscissa with the opposite tangency.  Widths, heights and the distance to
 the stable axis of these rectangles obey clean |lam|^(n/2) power laws, which
 is what most of the tests downstream lean on.
+
+The folded curve (X, Y)(t) = phi(alpha_n(t)) is a polynomial in t for every
+system the model admits, so tangencies, caps and the extremes of Y are real
+roots of polynomials, counted and polished by ``numerics.real_roots``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterator
 
 import numpy as np
@@ -26,17 +29,15 @@ from .errors import (
     NumericError,
     WindowExceededError,
 )
-from .leaves import _arc_jet, alpha, arc_height, t_window
-from .model import ModelSystem, Point, Rect, _phi_jacobian, _phi_parts, phi_x_derivatives
-from .numerics import solve_newton
+from .leaves import alpha, arc_height, t_window
+from .model import ModelSystem, Point, Rect, _phi_parts
+from .numerics import Polynomial, real_roots
 
 __all__ = [
     "SnRectangle",
     "fold_point",
     "fold_x",
     "fold_velocity",
-    "fold_x_d1",
-    "fold_x_d2",
     "vertical_params",
     "extended_params",
     "build_sn",
@@ -45,6 +46,8 @@ __all__ = [
     "first_valid_n",
     "scaling_fit",
 ]
+
+Fold = tuple[float, Polynomial, Polynomial]  # (scale, X(s), Y(s)), s = t / scale
 
 
 def fold_point(sys: ModelSystem, n: int, t: float) -> Point:
@@ -55,69 +58,79 @@ def fold_point(sys: ModelSystem, n: int, t: float) -> Point:
 
 
 def fold_x(sys: ModelSystem, n: int, t: float) -> float:
-    """Abscissa of the folded curve, X(t) = pr_x(phi(alpha_n(t))).
-
-    Raw arithmetic, no window checks: the tangency solvers may probe slightly
-    outside the window while bracketing.  ``t`` may be a numpy array.
-    """
+    """Abscissa of the folded curve, X(t) = pr_x(phi(alpha_n(t))), by raw
+    arithmetic without window checks.  ``t`` may be a numpy array."""
     return _phi_parts(sys, t, arc_height(sys, n, t))[0]
 
 
 def fold_velocity(sys: ModelSystem, n: int, t: float) -> Point:
-    """Tangent (X'(t), Y'(t)) of the folded curve by the chain rule through
-    the arc graph; raw arithmetic like ``fold_x``."""
-    y, dy = _arc_jet(sys, n, t, 1)
-    (fx, fy), (gx, gy) = _phi_jacobian(sys, t, y)
-    return (fx + fy * dy, gx + gy * dy)
+    """Tangent (X'(t), Y'(t)) of the folded curve, the derivatives of its
+    polynomials; raw arithmetic like ``fold_x``."""
+    scale, x, y = _fold(sys, n)
+    return (x.derivative()(t / scale) / scale, y.derivative()(t / scale) / scale)
 
 
-def fold_x_d1(sys: ModelSystem, n: int, t: float) -> float:
-    """X'(t)."""
-    return fold_velocity(sys, n, t)[0]
+_FOLD_CACHE: dict[tuple[ModelSystem, int], Fold] = {}
 
 
-def fold_x_d2(sys: ModelSystem, n: int, t: float) -> float:
-    """X''(t), the derivative of X' = Fx + Fy * y'."""
-    y, dy, d2y = _arc_jet(sys, n, t, 2)
-    _, fy, fxx, fxy, fyy = phi_x_derivatives(sys, t, y)
-    return fxx + 2.0 * fxy * dy + fyy * dy * dy + fy * d2y
+def _fold(sys: ModelSystem, n: int) -> Fold:
+    """(scale, X, Y): the folded curve as polynomials in s = t / scale,
+    scale = |lam|^(n/2), the width of the hook in t, so the coefficients of
+    X past the constant are all of order |lam|^(3n/2).  ``fold_x``'s own
+    arithmetic, run on the polynomial t = scale * s, gives them.  Kept per
+    (system, n) like ``build_sn``'s S_n."""
+    fold = _FOLD_CACHE.get((sys, n))
+    if fold is None:
+        scale = abs(sys.lam) ** (0.5 * n)
+        t = Polynomial((0.0, scale))
+        fold = _FOLD_CACHE[sys, n] = (scale, *_phi_parts(sys, t, arc_height(sys, n, t)))
+    return fold
+
+
+def _deflated(p: Polynomial, r: float) -> Polynomial:
+    """(p(s) - p(r)) / (s - r)^2 at a zero r of p', by two synthetic
+    divisions that drop their remainders p(r) and p'(r)."""
+    for _ in range(2):
+        q = [p[-1]]
+        for c in reversed(p[1:-1]):
+            q.append(c + r * q[-1])
+        p = Polynomial(reversed(q))
+    return p
+
+
+def _rise(p: Polynomial, s: float) -> float:
+    """p(s) - p(0), evaluated without the constant term."""
+    return s * Polynomial(p[1:])(s)
 
 
 def vertical_params(sys: ModelSystem, n: int) -> tuple[float, float]:
     """Parameters (t_minus, t_plus) of the two vertical tangencies of the
-    n-th fold, i.e. the interior zeros of X'.
+    n-th fold: the zeros of X' nearest to t = 0 on either side.
 
     To leading order X'(t) = b*y_n(0) + 3c*t^2, so a real pair exists exactly
-    when -b*y_n(0)/(3c) > 0; the square root of that quantity seeds Newton.
-    """
+    when -b*y_n(0)/(3c) > 0.  Both sides are searched as positive roots of
+    X'(-s) and X'(s) on one interval, so an even X' gives t_minus = -t_plus
+    exactly.  No zero on a side raises NoVerticalTangencyError, a zero
+    outside the arc window WindowExceededError."""
     if n < 1:
         raise DomainError("fold index must be at least 1")
     if n > sys.n_max:
         raise DomainError(f"n={n} beyond resolvable depth n_max={sys.n_max}")
-    tr = sys.transition
-    if tr.b == 0.0 or tr.c == 0.0:
+    if sys.transition.b == 0.0 or sys.transition.c == 0.0:
         raise NoVerticalTangencyError("a fold pair needs b != 0 and c != 0")
-    y0 = arc_height(sys, n, 0.0)
-    radicand = -tr.b * y0 / (3.0 * tr.c)
-    if radicand <= 0.0:
-        raise NoVerticalTangencyError(
-            f"level n={n} has sign(b*y) = sign(3c); no real tangency pair"
-        )
-    seed = math.sqrt(radicand)
+    scale, x, _ = _fold(sys, n)
     lo, hi = t_window(sys)
-    if not (lo < -seed and seed < hi):
-        raise WindowExceededError(
-            f"tangency estimate +-{seed:.6g} outside the arc window [{lo:.6g}, {hi:.6g}]"
-        )
-    # X' is a sum of terms of size |b*y| and 3|c|t^2; resolve its zero to
-    # fourteen digits of that scale.
-    tol = 1e-14 * (abs(tr.b * y0) + 3.0 * abs(tr.c) * radicand)
-    g, gp = partial(fold_x_d1, sys, n), partial(fold_x_d2, sys, n)
-    t_plus = solve_newton(g, gp, seed, tol=tol, bracket=(0.25 * seed, min(hi, 4.0 * seed)))
-    t_minus = solve_newton(g, gp, -seed, tol=tol, bracket=(max(lo, -4.0 * seed), -0.25 * seed))
-    if not (t_minus < 0.0 < t_plus):
-        raise NumericError(f"tangency pair ({t_minus:g}, {t_plus:g}) out of order")
-    return t_minus, t_plus
+    dx = x.derivative().trimmed()
+    reach = 1.0 + max(map(abs, dx)) / abs(dx[-1])  # Cauchy's bound on |root|
+    pair = []
+    for side, p, edge in (("below", Polynomial(-c if k % 2 else c for k, c in enumerate(dx)), -lo), ("above", dx, hi)):
+        roots = real_roots(p, 0.0, reach)
+        if not roots:
+            raise NoVerticalTangencyError(f"X' has no zero {side} t = 0 at level n={n}; no real tangency pair")
+        if roots[0] * scale > edge:
+            raise WindowExceededError(f"a tangency of level n={n} lies outside the arc window [{lo:.6g}, {hi:.6g}]")
+        pair.append(roots[0] * scale)
+    return -pair[0], pair[1]
 
 
 def extended_params(sys: ModelSystem, n: int, t_minus: float, t_plus: float) -> tuple[float, float]:
@@ -126,38 +139,18 @@ def extended_params(sys: ModelSystem, n: int, t_minus: float, t_plus: float) -> 
 
     These cap the hook: the curve piece over [t_ext_minus, t_ext_plus] is the
     part of the arc image that stays inside the vertical strip between the
-    tangencies.  Raises WindowExceededError when a cap lands outside the arc
-    window (the fold is too fat for the chart at this level).
+    tangencies.  Each cap is the root of (X(s) - X(s_tan)) / (s - s_tan)^2
+    nearest to the tangency it leaves from; WindowExceededError when it is
+    outside the arc window (the fold is too fat for the chart at this level).
     """
+    scale, x, _ = _fold(sys, n)
     lo, hi = t_window(sys)
-    x_minus = fold_x(sys, n, t_minus)
-    x_plus = fold_x(sys, n, t_plus)
-    tol = 1e-13 * max(abs(x_plus - x_minus), 1e-300)
-    # Leading-order cubic puts each cap at minus twice the opposite tangency.
-    t_ext_plus = _match_abscissa(sys, n, x_minus, t_plus, hi, -2.0 * t_minus, tol)
-    t_ext_minus = _match_abscissa(sys, n, x_plus, lo, t_minus, -2.0 * t_plus, tol)
-    return t_ext_minus, t_ext_plus
-
-
-def _match_abscissa(sys: ModelSystem, n: int, target: float, lo: float, hi: float, seed: float, tol: float) -> float:
-    """The t in [lo, hi] with fold_x(t) == target to within tol, by Newton on
-    fold_x_d1 from ``seed`` with bisection on the bracket as fallback."""
-
-    def g(t: float) -> float:
-        return fold_x(sys, n, t) - target
-
-    g_lo, g_hi = g(lo), g(hi)
-    if g_lo == 0.0:
-        return lo
-    if g_hi == 0.0:
-        return hi
-    if g_lo * g_hi > 0.0:
-        raise WindowExceededError(
-            f"fold cap at abscissa {target:.6g} is not reached inside [{lo:.6g}, {hi:.6g}]"
-        )
-    if not (lo < seed < hi):
-        seed = 0.5 * (lo + hi)
-    return solve_newton(g, partial(fold_x_d1, sys, n), seed, tol=tol, bracket=(lo, hi))
+    s_minus, s_plus = t_minus / scale, t_plus / scale
+    ext_plus = real_roots(_deflated(x, s_minus), s_plus, hi / scale)
+    ext_minus = real_roots(_deflated(x, s_plus), lo / scale, s_minus)
+    if not (ext_minus and ext_plus):
+        raise WindowExceededError(f"a fold cap of level n={n} is not reached inside the arc window [{lo:.6g}, {hi:.6g}]")
+    return ext_minus[-1] * scale, ext_plus[0] * scale
 
 
 @dataclass(frozen=True)
@@ -165,8 +158,10 @@ class SnRectangle:
     """Fold rectangle at level n with the parameters that carved it.
 
     ``fold_points`` are the images of (t_ext_minus, t_minus, t_plus,
-    t_ext_plus); the first and last sit on the rectangle sides up to solver
-    tolerance, the middle two exactly.  ``rho`` is the cap half-gap
+    t_ext_plus); the middle two are the vertical sides.  ``width`` and
+    ``height`` are differences of the ``fold`` polynomials without their
+    constant terms, so they keep the digits that the rectangle's sides, of
+    size |lam|^n and 1, lose.  ``rho`` is the cap half-gap
     (t_ext_plus - t_plus) rescaled by |lam|^(n/2); it tends to a constant.
     """
 
@@ -176,16 +171,11 @@ class SnRectangle:
     t_ext_minus: float
     t_ext_plus: float
     rect: Rect
+    width: float
+    height: float
     rho: float
     fold_points: tuple[Point, Point, Point, Point]
-
-    @property
-    def width(self) -> float:
-        return self.rect.width
-
-    @property
-    def height(self) -> float:
-        return self.rect.height
+    fold: Fold
 
     @property
     def branches(self) -> tuple[tuple[float, float], ...]:
@@ -204,14 +194,15 @@ class SnRectangle:
         return 0.0
 
 
-_CURVE_SAMPLES = 257
 _SN_CACHE: dict[tuple[ModelSystem, int], SnRectangle] = {}
 
 
 def build_sn(sys: ModelSystem, n: int) -> SnRectangle:
-    """Construct S_n: solve for the tangency pair and the caps, bound the
-    curve piece between the caps, and sanity-check that the piece never
-    escapes the vertical strip between the tangencies.
+    """Construct S_n: the tangency pair, the caps, and the y extent of the
+    piece between the caps from the four fold points and the zeros of Y'.
+    The piece is one hook inside the strip between the tangencies exactly
+    when X' has no other zero between the caps; any other count of them
+    raises NumericError.
 
     Each S_n is built once per (system, n) and shared afterwards; systems
     are frozen and compare by value, so an equal system built elsewhere gets
@@ -222,30 +213,20 @@ def build_sn(sys: ModelSystem, n: int) -> SnRectangle:
         return S
     t_minus, t_plus = vertical_params(sys, n)
     t_ext_minus, t_ext_plus = extended_params(sys, n, t_minus, t_plus)
+    fold = scale, x, y = _fold(sys, n)
     params = (t_ext_minus, t_minus, t_plus, t_ext_plus)
+    s_ext_minus, s_minus, s_plus, s_ext_plus = ss = [t / scale for t in params]
+    zeros = len(real_roots(x.derivative(), s_ext_minus, s_ext_plus))
+    if zeros != 2:
+        raise NumericError(f"X' has {zeros} zeros between the caps of S_{n}, not 2: the fold piece is not one hook inside its strip")
     pts = tuple(fold_point(sys, n, t) for t in params)
-    x_lo = min(pts[1][0], pts[2][0])
-    x_hi = max(pts[1][0], pts[2][0])
-
-    # linspace returns both ends exactly: they are pts[0] and pts[3].
-    ts = np.linspace(t_ext_minus, t_ext_plus, _CURVE_SAMPLES)[1:-1]
-    curve = [pts[0], *(fold_point(sys, n, float(t)) for t in ts), pts[3]]
-    ys = [p[1] for p in curve] + [pts[1][1], pts[2][1]]
-    y_lo, y_hi = min(ys), max(ys)
-
-    width = x_hi - x_lo
-    ctol = 1e-9 * width + 1e-14 * max(abs(x_lo), abs(x_hi))
-    overshoot = max(max(x_lo - p[0], p[0] - x_hi) for p in curve)
-    if overshoot > ctol:
-        raise NumericError(
-            "fold piece escapes the strip between its tangencies", residual=overshoot
-        )
-
-    rect = Rect(x_lo, x_hi, y_lo, y_hi)
+    turns = real_roots(y.derivative(), s_ext_minus, s_ext_plus)
+    ys = [p[1] for p in pts] + [fold_point(sys, n, s * scale)[1] for s in turns]
+    rises = [_rise(y, s) for s in (*ss, *turns)]
+    rect = Rect(min(pts[1][0], pts[2][0]), max(pts[1][0], pts[2][0]), min(ys), max(ys))
     for corner in rect.corners():
         if not sys.in_ur(corner):
             raise DomainError(f"S_{n} sticks out of U(r): corner {corner}")
-    rho = (t_ext_plus - t_plus) / abs(sys.lam) ** (0.5 * n)
     S = _SN_CACHE[sys, n] = SnRectangle(
         n=n,
         t_minus=t_minus,
@@ -253,8 +234,11 @@ def build_sn(sys: ModelSystem, n: int) -> SnRectangle:
         t_ext_minus=t_ext_minus,
         t_ext_plus=t_ext_plus,
         rect=rect,
-        rho=rho,
+        width=abs(_rise(x, s_plus) - _rise(x, s_minus)),
+        height=max(rises) - min(rises),
+        rho=(t_ext_plus - t_plus) / scale,
         fold_points=pts,
+        fold=fold,
     )
     return S
 

@@ -41,7 +41,8 @@ from .model import (
     return_rectangle,
     signed_power,
 )
-from .rects import _match_abscissa, build_sn, fold_point, fold_rectangles, fold_velocity, fold_x
+from .numerics import real_roots
+from .rects import Fold, build_sn, fold_point, fold_rectangles, fold_velocity
 
 __all__ = [
     "VERTICAL",
@@ -243,20 +244,12 @@ class BetaArc:
     s_n_plus: float
 
 
-_CROSSING_PROBES = 4097
-
-
-def _first_crossing(sys: ModelSystem, n: int, target: float, t_from: float, t_to: float) -> float | None:
-    """Smallest t in [t_from, t_to] with fold_x(t) == target, or None."""
-    ts = np.linspace(t_from, t_to, _CROSSING_PROBES)
-    vals = fold_x(sys, n, ts) - target
-    sign_change = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) <= 0.0)[0]
-    if sign_change.size == 0:
-        return None
-    i = int(sign_change[0])
-    lo, hi = float(ts[i]), float(ts[i + 1])
-    tol = 1e-13 * max(abs(target), 1e-300) if target != 0.0 else 1e-16
-    return _match_abscissa(sys, n, target, lo, hi, 0.5 * (lo + hi), tol)
+def _first_crossing(fold: Fold, target: float, t_from: float, t_to: float) -> float | None:
+    """Smallest t in (t_from, t_to] where the folded curve's abscissa is
+    ``target``, or None: the first real root of the fold polynomial X - target."""
+    scale, x, _ = fold
+    roots = real_roots(x + -target, t_from / scale, t_to / scale)
+    return roots[0] * scale if roots else None
 
 
 def beta_arc(sys: ModelSystem, n: int, s: float) -> BetaArc:
@@ -277,12 +270,12 @@ def beta_arc(sys: ModelSystem, n: int, s: float) -> BetaArc:
         raise WrongQuadrantError("fold tip touches or crosses the stable axis")
     j = window_exponent(sys, S.dist)
     lo, hi = t_window(sys)
-    t_lo = _first_crossing(sys, n, 0.0, lo, hi)
+    t_lo = _first_crossing(S.fold, 0.0, lo, hi)
     if t_lo is None:
         t_lo = lo
     # Pull the cap back to fold coordinates: X = s / mu^j.
     x_cap = _scale_power(s, sys.mu, -j)
-    t_hi = _first_crossing(sys, n, x_cap, t_lo, hi)
+    t_hi = _first_crossing(S.fold, x_cap, t_lo, hi)
     if t_hi is None:
         t_hi = hi
     if not t_lo < t_hi:

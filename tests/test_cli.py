@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import tangencylab as tl
-from tangencylab import cli
+from tangencylab import cascade, cli, moduli, numerics, rects, returns
 from tangencylab.cases import SIGN_CASES, classify_system
 from tangencylab.cli import Axes, Series, emit_svg, load_config, main, run
 
@@ -183,6 +183,42 @@ def test_sign_sweep(case, tmp_path):
     total = sum(len(sec["assertions"]) for sec in rep["commands"].values())
     want_code, want_score, want_failed = _SIGN_SWEEP[case.label]
     assert (code, f"{total - len(rep['failed'])}/{total}", rep["failed"]) == (want_code, want_score, want_failed.split())
+
+
+def test_tilted_seed_all_run(tmp_path):
+    # seed_coeffs [0.5, 0.15]: every S_n of the conjugacy pairs builds.
+    # moduli:s_step still compares the finite-n steps of a curved seed with
+    # the flat-seed limit rho.
+    raw = json.loads(CONFIG.read_text())
+    raw["system"]["seed_coeffs"] = [0.5, 0.15]
+    out = tmp_path / "out"
+    code = run(_write(tmp_path, raw), "all", out_dir=str(out))
+    rep = json.loads((out / "report.json").read_text())
+    assert (code, rep["failed"]) == (1, ["moduli:s_step"])
+
+
+def test_reference_run_work_counts(ref_config, tmp_path, monkeypatch):
+    # One reference all run from empty caches: the fold polynomials leave
+    # 1,386 fold_point calls (8,221 with 255 sampled curve points per S_n),
+    # and no Newton solve falls back to bisection.
+    monkeypatch.setattr(rects, "_SN_CACHE", {})
+    monkeypatch.setattr(rects, "_FOLD_CACHE", {})
+    counts = {"fold_point": 0, "_bisect_or_fail": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    fold_point = counted("fold_point", rects.fold_point)
+    for module in (rects, returns, cascade, moduli):
+        monkeypatch.setattr(module, "fold_point", fold_point)
+    monkeypatch.setattr(numerics, "_bisect_or_fail", counted("_bisect_or_fail", numerics._bisect_or_fail))
+    assert run(ref_config, "all", out_dir=str(tmp_path / "out")) == 0
+    assert 0 < counts["fold_point"] <= 2000
+    assert counts["_bisect_or_fail"] == 0
 
 
 def test_mismatched_pair_keeps_the_sign_case(tmp_path, monkeypatch):

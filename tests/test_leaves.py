@@ -102,20 +102,9 @@ def test_seed_arc_positive_everywhere():
     st.floats(min_value=1.0, max_value=2.0),
     st.lists(st.floats(min_value=-1.0, max_value=1.0), max_size=5),
     st.floats(min_value=-3.0, max_value=3.0),
-    st.integers(min_value=0, max_value=2),
 )
-def test_seed_eval_is_polyval_bit_for_bit(z0, tail, x, order):
+def test_seed_eval_is_polyval_bit_for_bit(z0, tail, x):
     # |c_i| 2^i <= 0.18 keeps y0 >= z0 - 0.9 > 0 on the domain [-2, 2]
     coeffs = (z0, *(u * 0.18 / 2**i for i, u in enumerate(tail, 1)))
     seed = tl.SeedArc((-2.0, 2.0), coeffs)
-    # the differentiated coefficients as written out: i*c and i*(i-1)*c
-    written = (
-        list(coeffs),
-        [i * c for i, c in enumerate(coeffs)][1:],
-        [i * (i - 1) * c for i, c in enumerate(coeffs)][2:],
-    )
-    got = seed.eval(x, order)
-    assert len(got) == order + 1
-    for k in range(order + 1):
-        expect = float(np.polyval(written[k][::-1], x)) if written[k] else 0.0
-        assert got[k] == expect
+    assert seed.eval(x) == float(np.polyval(coeffs[::-1], x))

@@ -1,6 +1,10 @@
+import importlib
+import importlib.util
 import inspect
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tangencylab as tl
-from tangencylab import model, rects
+from tangencylab import model
 from tangencylab.model import _MEMBERSHIP_TOL, signed_power, _scale_power
+
+_ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_saddle_map_is_diagonal(ref):
@@ -269,11 +275,41 @@ def test_tau_bounds_peak_memory():
     assert peak < 0.5 * 2**20
 
 
-@pytest.mark.parametrize("module, name", [(rects, "build_sn"), (model, "tau_bounds")])
+def _traced_names() -> list[tuple[object, str]]:
+    """(module, name) of every function or method whose calls, times or
+    errors BENCHMARK.json's per-layer metrics read; derived metrics (the
+    layer totals, ratios and the tracer's own counts) name none."""
+    spec = json.loads((_ROOT / "BENCHMARK.json").read_text())
+    out = []
+    for metric in spec["per_layer"]:
+        *qual, field = metric["name"].split(".")
+        if len(qual) < 2 or field not in ("calls", "incl_s", "self_s", "errors"):
+            continue
+        pair = (importlib.import_module(f"tangencylab.{qual[0]}"), ".".join(qual[1:]))
+        if pair not in out:
+            out.append(pair)
+    return out
+
+
+def _tracer_methods() -> tuple[str, ...]:
+    spec = importlib.util.spec_from_file_location("bench_tracer", _ROOT / "benchmarks" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.METHODS
+
+
+@pytest.mark.parametrize("module, name", _traced_names())
 def test_memoized_functions_stay_plain_functions(module, name):
-    # benchmarks/tracer.py wraps the plain functions of each module; a
-    # functools decorator would hide these from it, so they memoize in a
-    # module dict instead
+    # benchmarks/tracer.py wraps the plain public functions of each module
+    # and the methods in its METHODS, and BENCHMARK.json's per-layer metrics
+    # read them by name: a deleted or renamed function, or a functools
+    # decorator (which is why build_sn and tau_bounds memoize in module
+    # dicts), would fail `benchmarks/run.py --trace 1`.
+    if "." in name:
+        assert f"{module.__name__.rsplit('.', 1)[1]}.{name}" in _tracer_methods()
+        cls, method = name.split(".")
+        assert inspect.isfunction(vars(getattr(module, cls))[method])
+        return
     fn = getattr(module, name)
-    assert inspect.isfunction(fn)
+    assert inspect.isfunction(fn) and not name.startswith("_")
     assert fn.__module__ == module.__name__

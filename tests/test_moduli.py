@@ -183,16 +183,22 @@ def test_intersection_rescale_pair(ref):
 
 
 def test_intersection_check_decides_each_level_from_few_fold_points(ref, monkeypatch):
-    # Each branch height is one bracket-exhausting search; an operation
-    # count, not wall time, guards that work.
+    # Each branch height is one root search on the fold polynomials, and no
+    # fold point is evaluated; an operation count, not wall time, guards
+    # that work.
     calls = []
-    fold_point = moduli.fold_point
+    fold_point, real_roots = moduli.fold_point, moduli.real_roots
 
     def counted(sys, n, t):
         calls.append(t)
         return fold_point(sys, n, t)
 
+    def counted_roots(p, lo, hi):
+        calls.append(lo)
+        return real_roots(p, lo, hi)
+
     monkeypatch.setattr(moduli, "fold_point", counted)
+    monkeypatch.setattr(moduli, "real_roots", counted_roots)
     levels = [S.n for S in fold_rectangles(ref, 8, 18)]
     for pair, limit in ((rescale_pair(ref, 1), 200), (identity_pair(ref), 100)):
         calls.clear()

@@ -12,7 +12,6 @@ from tangencylab.rects import (
     fold_rectangles,
     fold_velocity,
     fold_x,
-    fold_x_d1,
     level_range,
     scaling_fit,
     vertical_params,
@@ -93,7 +92,7 @@ def test_fold_rectangle_frozen_level_10(sn10):
 def test_fold_turns_vertical_at_the_tangency_parameters(ref, sn10):
     # dx/dt = 0 exactly at t_{+-}: the fold tip is a vertical tangency
     for t in (sn10.t_minus, sn10.t_plus):
-        assert abs(fold_x_d1(ref, 10, t)) < 1e-12
+        assert abs(fold_velocity(ref, 10, t)[0]) < 1e-12
     # and the tip is the leftmost point of the fold
     tip_x = fold_point(ref, 10, sn10.t_plus)[0]
     for t in (0.5 * sn10.t_plus, 1.5 * sn10.t_plus):
@@ -171,22 +170,24 @@ def test_branches_tile_the_extended_window(ref):
             assert (xs >= 0.0).all() or (xs <= 0.0).all()
 
 
-# build_sn on jets with an H1 term k*x^4.  The quartic bends the hook: for
-# k = 50 the left cap leaves the arc window, for k = 300 at deep levels too,
-# and for larger k the tangency solve finds no zero of X' left of 0.
+# build_sn on jets with an H1 term k*x^4.  The quartic bends the hook.  For
+# k = 50, and for k = 300 at level 12, X(t) - X(t_+) has two roots left of
+# t_minus and the same sign at both ends of [window start, t_minus]: the
+# left cap is inside the window, nearest to the tangency.  For larger k at
+# shallow levels X' has no zero left of 0, so there is no tangency pair.
 _QUARTIC_OUTCOMES = {
     (10, 8): None,
     (10, 10): None,
     (10, 12): None,
-    (50, 8): tl.WindowExceededError,
-    (50, 10): tl.WindowExceededError,
-    (50, 12): tl.WindowExceededError,
-    (300, 8): tl.NumericError,
-    (300, 10): tl.NumericError,
-    (300, 12): tl.WindowExceededError,
-    (1000, 8): tl.NumericError,
-    (1000, 10): tl.NumericError,
-    (1000, 12): tl.NumericError,
+    (50, 8): None,
+    (50, 10): None,
+    (50, 12): None,
+    (300, 8): tl.NoVerticalTangencyError,
+    (300, 10): tl.NoVerticalTangencyError,
+    (300, 12): None,
+    (1000, 8): tl.NoVerticalTangencyError,
+    (1000, 10): tl.NoVerticalTangencyError,
+    (1000, 12): tl.NoVerticalTangencyError,
 }
 
 
@@ -198,12 +199,34 @@ def test_build_sn_outcome_on_quartic_jets(k, n):
         S = build_sn(sys, n)
         assert S.t_ext_minus < S.t_minus < 0.0 < S.t_plus < S.t_ext_plus
         assert list(fold_rectangles(sys, n, n)) == [S]
+        # the certified count holds on a sampled piece: it stays in the strip
+        xs = fold_x(sys, n, np.linspace(S.t_ext_minus, S.t_ext_plus, 1025))
+        slack = 1e-9 * S.width
+        assert S.rect.x_lo - slack <= xs.min() and xs.max() <= S.rect.x_hi + slack
         return
     with pytest.raises(outcome) as info:
         build_sn(sys, n)
     assert type(info.value) is outcome
-    if outcome is tl.NumericError:
-        assert str(info.value).startswith("no sign change in bracket")
-    else:
-        # fold_rectangles skips exactly the levels whose cap leaves the window
-        assert list(fold_rectangles(sys, n, n)) == []
+    assert str(info.value).startswith("X' has no zero below t = 0")
+
+
+def test_build_sn_certifies_one_hook_between_the_caps():
+    # In s = t / |lam|^4 at level 8 the jet below gives
+    # X'(s) = |lam|^12 (3 s^2 - 1/2)(1 + e3 s^3 + e4 s^4), whose last factor
+    # vanishes at s = 0.55 and 0.7, between t_+ and the right cap: the curve
+    # turns back there, and the sampled strip check that this count replaced
+    # fires on the same jet.
+    e3, e4 = np.linalg.solve([[0.55**3, 0.55**4], [0.7**3, 0.7**4]], [-1.0, -1.0])
+    x_coeffs = {4: -e3 / 8.0, 5: -e4 / 10.0, 6: e3 / 2.0, 7: 3.0 * e4 / 7.0}
+    h = 0.3**4
+    sys = tl.make_system(h1_terms=tuple((i, 0, float(v / h ** (i - 3))) for i, v in x_coeffs.items()))
+    with pytest.raises(tl.NumericError, match="X' has 4 zeros between the caps of S_8"):
+        build_sn(sys, 8)
+
+
+def test_tilted_rescaled_system_builds_at_level_12(tilted):
+    # The rescaled partner of the conjugacy pair: X is of size |lam|^n while
+    # the width is of size |lam|^(3n/2), so no cap is matched on X's values.
+    S = build_sn(tl.rescale_pair(tilted, 1).sys_1, 12)
+    assert S.t_ext_minus < S.t_minus < 0.0 < S.t_plus < S.t_ext_plus
+    assert S.width == pytest.approx(S.rect.width, rel=1e-9)

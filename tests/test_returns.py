@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 import tangencylab as tl
 from tangencylab.leaves import t_window
 from tangencylab.model import _scale_power
-from tangencylab.rects import _match_abscissa, build_sn, fold_x, level_range
+from tangencylab.numerics import _bisect
+from tangencylab.rects import build_sn, fold_x, level_range
 from tangencylab.returns import (
-    _CROSSING_PROBES,
     _first_crossing,
     VERTICAL,
     beta_arc,
@@ -124,27 +124,28 @@ def test_slope_search_threshold_scaling(ref, slope_search):
 
 
 def _first_crossing_scalar(sys, n, target, t_from, t_to):
-    """``_first_crossing`` written out with one fold_x call per probe."""
-    ts = np.linspace(t_from, t_to, _CROSSING_PROBES)
+    """The first sign change of fold_x - target on a scan of 4,097 probes,
+    one fold_x call each, polished by bisection on fold_x itself."""
+    ts = np.linspace(t_from, t_to, 4097)
     vals = np.array([fold_x(sys, n, float(t)) - target for t in ts])
     sign_change = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) <= 0.0)[0]
     if sign_change.size == 0:
         return None
     i = int(sign_change[0])
-    lo, hi = float(ts[i]), float(ts[i + 1])
-    tol = 1e-13 * max(abs(target), 1e-300) if target != 0.0 else 1e-16
-    return _match_abscissa(sys, n, target, lo, hi, 0.5 * (lo + hi), tol)
+    return _bisect(lambda t: fold_x(sys, n, t) - target, float(ts[i]), float(ts[i + 1]))
 
 
 @pytest.mark.parametrize("sys", [tl.reference_system(), tl.make_system(lam=-0.3)], ids=["reference", "lam<0"])
 def test_first_crossing_matches_the_scalar_scan(sys):
-    # The probes are evaluated as one array; the bracket they pick, and so
-    # the polished root, must be those of one fold_x call per probe, for the
-    # two targets beta_arc asks for.
+    # The crossing is the first root of the fold polynomial X - target; it
+    # must be the first sign change of phi's own arithmetic on a fine scan,
+    # for the two targets beta_arc asks for.
     lo, hi = t_window(sys)
     for n in level_range(sys, 8, 18):
-        x_cap = _scale_power(0.1, sys.mu, -window_exponent(sys, build_sn(sys, n).dist))
-        t_lo = _first_crossing(sys, n, 0.0, lo, hi)
-        assert t_lo == _first_crossing_scalar(sys, n, 0.0, lo, hi)
+        S = build_sn(sys, n)
+        x_cap = _scale_power(0.1, sys.mu, -window_exponent(sys, S.dist))
+        t_lo = _first_crossing(S.fold, 0.0, lo, hi)
+        assert t_lo == pytest.approx(_first_crossing_scalar(sys, n, 0.0, lo, hi), rel=1e-12)
         t_from = lo if t_lo is None else t_lo
-        assert _first_crossing(sys, n, x_cap, t_from, hi) == _first_crossing_scalar(sys, n, x_cap, t_from, hi)
+        t_hi = _first_crossing(S.fold, x_cap, t_from, hi)
+        assert t_hi == pytest.approx(_first_crossing_scalar(sys, n, x_cap, t_from, hi), rel=1e-12)
