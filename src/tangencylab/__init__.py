@@ -67,12 +67,14 @@ from .returns import (
     JnSlopeReport,
     ReturnFrame,
     SlopedPoint,
+    SlopeGrid,
     SlopeSearchResult,
     beta_arc,
     find_s_n0,
     i_n,
     jn_slope_check,
     return_frame,
+    slope_grid,
     slope_through_return,
     u0,
     window_exponent,

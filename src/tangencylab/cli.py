@@ -26,12 +26,11 @@ from .errors import (
     ConfigError,
     DomainError,
     InconclusiveError,
-    SlopeLemmaCounterexample,
     TangencyLabError,
     WindowExceededError,
 )
 from .leaves import tangency_order, tangency_samples, unstable_leaf_w
-from .model import ModelSystem, return_rectangle, tau_bounds, validate
+from .model import ModelSystem, tau_bounds, validate
 from .moduli import (
     correspondence_points,
     identity_pair,
@@ -46,7 +45,7 @@ from .moduli import (
 )
 from .rects import first_valid_n, fold_rectangles, level_range, scaling_fit
 from .reference import make_system
-from .returns import find_s_n0, return_frame
+from .returns import find_s_n0, slope_grid
 
 COMMANDS = (
     "validate",
@@ -484,35 +483,18 @@ def cmd_rects(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[dict]]:
 
 def cmd_slopes(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[dict]]:
     sys = cfg.system
+    grid = slope_grid(sys)
     eps = sys.epsilon
-    if eps <= 0.0:
-        raise DomainError("slope checks need |mu| > 1")
-    rect = return_rectangle(eps)
-    cap = eps**2.5
-    violations = 0
-    worst_intermediate = 0.0
-    worst_returned = 0.0
-    for x in np.linspace(rect.x_lo, rect.x_hi, 32):
-        for y in np.linspace(rect.y_lo, rect.y_hi, 32):
-            frame = return_frame(sys, (float(x), float(y)))
-            for slope in (0.0, 0.5 * cap, cap):
-                try:
-                    intermediate, returned = frame.transport(sys, slope)
-                except SlopeLemmaCounterexample:
-                    violations += 1
-                    continue
-                worst_intermediate = max(worst_intermediate, intermediate)
-                worst_returned = max(worst_returned, returned.slope)
-
     results = {
-        "grid": [32, 32, 3],
-        "violations": violations,
-        "max_intermediate_slope": worst_intermediate,
+        "grid": list(grid.shape),
+        "violations": grid.violations,
+        "max_intermediate_slope": grid.max_intermediate,
         "intermediate_bound": eps**-2.5,
-        "max_returned_slope": worst_returned,
-        "returned_bound": cap,
+        "max_returned_slope": grid.max_returned,
+        "returned_bound": eps**2.5,
     }
-    assertions = [_assertion("slope_grid", violations == 0, f"{violations} violations on 32x32x3 grid")]
+    shape = "x".join(map(str, grid.shape))
+    assertions = [_assertion("slope_grid", grid.violations == 0, f"{grid.violations} violations on {shape} grid")]
 
     rows = []
     try:

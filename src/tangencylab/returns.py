@@ -12,7 +12,7 @@ horizontal by the (lam/mu)^k factor of the linear part.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import islice
 
 import numpy as np
@@ -29,9 +29,13 @@ from .errors import (
 )
 from .leaves import t_window
 from .model import (
+    _MEMBERSHIP_TOL,
     ModelSystem,
     Point,
     Rect,
+    TransitionSpec,
+    _phi_jacobian,
+    _phi_parts,
     _scale_power,
     _window_power,
     apply_linear,
@@ -55,6 +59,8 @@ __all__ = [
     "ReturnFrame",
     "return_frame",
     "slope_through_return",
+    "SlopeGrid",
+    "slope_grid",
     "i_n",
     "beta_arc",
     "jn_slope_check",
@@ -192,6 +198,193 @@ def slope_through_return(sys: ModelSystem, point: Point, slope: float) -> tuple[
     if math.isnan(slope) or slope < 0.0 or math.isinf(slope):
         raise DomainError(f"slope must be finite and nonnegative, got {slope}")
     return return_frame(sys, point).transport(sys, slope)
+
+
+# Start points per side of R_eps in the slope grid; each point carries the
+# slopes 0, eps^(5/2)/2 and eps^(5/2).
+_GRID_SIDE = 32
+
+# Margin of the slope-grid screen, in log space (and relative to the size
+# of phi's terms for the sign of z_x).  numpy's pow and log do not round
+# like libm, so a screened value is not the scalar path's double; a cell
+# whose screened value lies within the margin of a decision or of a maximum
+# is decided in scalars instead.  The margin is _SCREEN_FACTOR times a
+# ceiling of 1e-13 on the screen-scalar gap; tests/test_closed_forms.py
+# measures the gap below that ceiling (1.9e-15 on the reference system, the
+# instance sweep seeds 0-20 and the 16 sign cases).
+_SCREEN_FACTOR = 1e4
+_SCREEN_DELTA = 1e-9
+
+
+@dataclass(frozen=True)
+class SlopeGrid:
+    """The slope lemma on a grid of start points of R_eps: ``shape`` is
+    (abscissas, ordinates, slopes per point); the maxima run over the
+    transports that are no counterexample."""
+
+    shape: tuple[int, int, int]
+    violations: int
+    max_intermediate: float
+    max_returned: float
+
+
+@dataclass(frozen=True)
+class _Screen:
+    """The slope grid as arrays, cell i at (x[i], y[i]) and slope j at
+    column j.  Logs are natural logs of magnitudes: ``log_x``/``log_y`` of
+    the returned point, ``log_inter`` of the intermediate slope and
+    ``log_returned`` the exponent that ``_rescale_slope`` exponentiates.
+    ``zx_scale`` is the sum of the magnitudes of z_x's terms.  ``returns``
+    says the cell's return succeeds, ``violates`` which slopes break the
+    lemma, and ``near`` marks cells within _SCREEN_DELTA of a decision,
+    where the screen decides nothing."""
+
+    x: np.ndarray
+    y: np.ndarray
+    slopes: tuple[float, ...]
+    zx: np.ndarray
+    zx_scale: np.ndarray
+    k: np.ndarray
+    log_x: np.ndarray
+    log_y: np.ndarray
+    log_inter: np.ndarray
+    log_returned: np.ndarray
+    returns: np.ndarray
+    violates: np.ndarray
+    near: np.ndarray
+
+
+def _absolute(sys: ModelSystem) -> ModelSystem:
+    """``sys`` with every transition coefficient replaced by its magnitude:
+    at (|x|, |y|) its phi sums the magnitudes of phi's terms."""
+    t = sys.transition
+    return replace(
+        sys,
+        transition=TransitionSpec(
+            *(abs(v) for v in (t.a, t.b, t.c, t.d, t.e)),
+            t.m0,
+            tuple((i, j, abs(c)) for i, j, c in t.h1_terms),
+            tuple((i, j, abs(c)) for i, j, c in t.h2_terms),
+        ),
+    )
+
+
+def _screen(sys: ModelSystem) -> _Screen:
+    """``return_frame(...).transport(...)`` on every grid cell at once.
+
+    phi and its Jacobian come from the model's own formulas on arrays; the
+    window exponent is the log estimate of ``window_exponent``; the chart
+    exit, R_eps and slope-lemma tests compare logs with the logs of their
+    bounds, using that along f^i the abscissa grows and the ordinate shrinks
+    (or grows) monotonically.  The U(q) test compares the grid's own
+    doubles, so it is exact.  Every grid point lies in R_eps and every grid
+    slope is at most eps^(5/2), so every transport checks the lemma.
+    """
+    eps = sys.epsilon
+    tol = _MEMBERSHIP_TOL
+    rect = return_rectangle(eps)
+    cap = eps**2.5
+    slopes = (0.0, 0.5 * cap, cap)
+    xs = np.linspace(rect.x_lo, rect.x_hi, _GRID_SIDE)
+    ys = np.linspace(rect.y_lo, rect.y_hi, _GRID_SIDE)
+    x, y = (a.ravel() for a in np.meshgrid(xs, ys, indexing="ij"))
+    lx = x - 1.0
+    w = sys.uq_half_width + tol
+    in_uq = (np.abs(lx) <= w) & (np.abs(y) <= w)
+    log_mu, log_lam = math.log(abs(sys.mu)), math.log(abs(sys.lam))
+    u = 1.0 + eps
+    lo, hi = u * u, u * u * u
+    log_w = math.log(sys.chart_half_width + tol)
+    s = np.array(slopes)
+    with np.errstate(all="ignore"):
+        fx, fy, gx, gy = (np.broadcast_to(v, x.shape)[:, None] for row in _phi_jacobian(sys, lx, y) for v in row)
+        zx, zy = _phi_parts(sys, lx, y)
+        zx_scale = _phi_parts(_absolute(sys), np.abs(lx), np.abs(y))[0]
+        log_zx = np.log(zx)
+        k = np.floor((math.log(hi) - log_zx) / log_mu)
+        log_x = log_zx + k * log_mu
+        log_zy = np.log(np.abs(zy))
+        log_y = log_zy + k * log_lam
+        log_y_chart = log_zy + np.maximum(log_lam, k * log_lam)
+        y_negative = (zy < 0.0) != ((sys.lam < 0.0) & (k % 2 == 1))
+        log_inter = np.log(np.abs((gx + gy * s) / (fx + fy * s)))
+        log_returned = log_inter + k[:, None] * (log_lam - log_mu)
+    x_lo, x_hi = math.log(rect.x_lo - tol), math.log(rect.x_hi + tol)
+    # R_eps starts at y = 0, so a negative ordinate may reach -tol
+    y_lo, y_hi = math.log(tol), math.log(rect.y_hi + tol)
+    inter_bound, returned_bound = math.log(eps**-2.5), math.log(cap)
+    returns = (
+        in_uq
+        & (zx > 0.0)
+        & (k >= 1)
+        & ((sys.mu > 0.0) | (k % 2 == 0))
+        & (log_x <= log_w)
+        & (log_y_chart <= log_w)
+        & (x_lo <= log_x)
+        & (log_x <= x_hi)
+        & (log_y <= np.where(y_negative, y_lo, y_hi))
+    )
+    violates = (log_inter > inter_bound) | (log_returned > returned_bound)
+    edges = [
+        (log_x, (math.log(lo), math.log(hi), log_w, x_lo, x_hi)),
+        (log_y_chart, (log_w,)),
+        (log_y, (y_lo, y_hi)),
+        (log_inter, (inter_bound,)),
+        (log_returned, (returned_bound, -745.0, 709.0)),
+    ]
+    near = np.abs(zx) <= _SCREEN_DELTA * zx_scale
+    for values, bounds in edges:
+        cells = values.reshape(len(x), -1)
+        near |= ~np.isfinite(cells).all(axis=1)
+        for bound in bounds:
+            near |= (np.abs(cells - bound) <= _SCREEN_DELTA).any(axis=1)
+    return _Screen(x, y, slopes, zx, zx_scale, k, log_x, log_y, log_inter, log_returned, returns, violates, near)
+
+
+def _near_max(values: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """Cells with a candidate value within _SCREEN_DELTA of the largest
+    candidate; none when there is no candidate."""
+    if not candidates.any():
+        return np.zeros(len(values), dtype=bool)
+    top = values[candidates].max()
+    return (candidates & (values >= top - _SCREEN_DELTA)).any(axis=1)
+
+
+def slope_grid(sys: ModelSystem) -> SlopeGrid:
+    """The slope lemma on the 32 x 32 x 3 grid: every start point of a 32 x
+    32 grid over R_eps, with the slopes 0, eps^(5/2)/2 and eps^(5/2), goes
+    through ``return_frame(sys, point).transport(sys, slope)``, grid order
+    x-major.  A SlopeLemmaCounterexample counts as a violation; any other
+    error propagates.
+
+    Arrays screen, scalars decide.  ``_screen`` evaluates every cell at once.
+    A cell is then decided in scalars, by ``return_frame`` and ``transport``
+    themselves, when its screen raises, when it lies within the margin of
+    a decision, or when one of its slopes is within the margin of either
+    maximum.  Every other cell is settled by the screen alone: its
+    violations are counted, and its slopes are below a maximum that a
+    scalar cell attains.  The result, and the first error in grid order,
+    are those of the scalar loop over all cells.
+    """
+    if sys.epsilon <= 0.0:
+        raise DomainError("slope checks need |mu| > 1")
+    sc = _screen(sys)
+    certain = sc.returns & ~sc.near
+    kept = certain[:, None] & ~sc.violates
+    settled = certain & ~_near_max(sc.log_inter, kept) & ~_near_max(sc.log_returned, kept)
+    violations = int(np.count_nonzero(sc.violates[settled]))
+    worst_intermediate = worst_returned = 0.0
+    for i in np.flatnonzero(~settled):
+        frame = return_frame(sys, (float(sc.x[i]), float(sc.y[i])))
+        for slope in sc.slopes:
+            try:
+                intermediate, returned = frame.transport(sys, slope)
+            except SlopeLemmaCounterexample:
+                violations += 1
+                continue
+            worst_intermediate = max(worst_intermediate, intermediate)
+            worst_returned = max(worst_returned, returned.slope)
+    return SlopeGrid((_GRID_SIDE, _GRID_SIDE, len(sc.slopes)), violations, worst_intermediate, worst_returned)
 
 
 def i_n(sys: ModelSystem, n: int) -> int:
