@@ -15,7 +15,6 @@ metric can be re-sampled at full precision at any depth.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -31,8 +30,11 @@ from .errors import (
     WrongQuadrantError,
 )
 from .model import (
+    _DIRECT_POW_LIMIT,
+    _MEMBERSHIP_TOL,
     ModelSystem,
     Point,
+    _phi_parts,
     _scale_power,
     apply_linear,
     apply_phi,
@@ -163,10 +165,12 @@ def _lobatto(lo: float, hi: float, count: int) -> np.ndarray:
     return lo + (hi - lo) * 0.5 * (1.0 - np.cos(np.pi * js / (count - 1)))
 
 
-# Lobatto sample counts of the monotonicity check, edge scans and box fibers.
+# Lobatto sample counts of the monotonicity check, edge scans, box fibers
+# and the vertical-escape check of a next box.
 _MONOTONE_SAMPLES = 33
 _EDGE_SAMPLES = 65
 _FIBER_SAMPLES = 33
+_ESCAPE_SAMPLES = 33
 
 
 def _assert_x_monotone(sys: ModelSystem, handle: CurveHandle) -> None:
@@ -278,6 +282,102 @@ def _fiber(y_t: float, y_b: float, y_d: float) -> tuple[float, float]:
             0.0 if gap <= floor else gap)
 
 
+# Margin of the fiber screen, relative to the values it compares: numpy's log
+# and exp round unlike libm's and the screen's roots are not ITP's, so a fiber
+# is settled only where each screened value is this far from its decision.
+# It is _FIBER_SCREEN_FACTOR times a ceiling of 1e-12 on the relative gap of
+# screened and scalar ordinates (tests/test_closed_forms.py measures 1.1e-13).
+# A settled length or gap is at most (_FIBER_RESOLUTION - 5 margins) * max|y|,
+# half the floor, so the scalar one stays under the scalar floor.
+_FIBER_SCREEN_FACTOR = 100
+_FIBER_SCREEN_MARGIN = 1e-10
+_FIBER_SCREEN_STEPS = 64  # cap on the steps of the screen's root search
+
+
+def _word_images(sys: ModelSystem, atoms: tuple[tuple, ...], x: np.ndarray, y: np.ndarray, clear: np.ndarray | None = None):
+    """``MapWord.apply`` on arrays of points, without phi's U(q) check.  A
+    ``clear`` mask keeps the rows whose log-space powers in ``_scale_power``
+    stay the margin below 709 (the screen does not saturate to inf) and off -745."""
+    for atom in atoms:
+        if atom[0] == "phi":
+            x, y = _phi_parts(sys, x - 1.0, y)
+            continue
+        k = atom[1]
+        if abs(k) <= _DIRECT_POW_LIMIT:
+            x, y = x * sys.mu**k, y * sys.lam**k
+            continue
+        powers = []
+        for v, base in ((x, sys.mu), (y, sys.lam)):
+            t = k * math.log(abs(base)) + np.log(np.abs(v))
+            if clear is not None:
+                clear &= (t < 709.0 - _FIBER_SCREEN_MARGIN) & (np.abs(t + 745.0) > _FIBER_SCREEN_MARGIN)
+            power = np.copysign(np.exp(t) * (t >= -745.0), v)
+            powers.append(-power if base < 0.0 and k % 2 else power)
+        x, y = powers
+    return x, y
+
+
+def _screen_fibers(sys: ModelSystem, box: Box, xs: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """(settled, ys): which fibers at the abscissas ``xs`` are certainly
+    (0.0, 0.0), and their screened top, bottom and delta ordinates as rows.
+    One lockstep root search on arrays finds them on all three edges.  A
+    fiber is settled when its screened length and gap are at most half its
+    floor, its ordinates are normal doubles, and, by the margin, every edge's
+    image range holds its abscissa, every log-space power keeps off -745 and
+    709, and every phi atom's input over the whole edge stays in U(q).  That
+    input is certified from its ends, so it must be a straight segment: a
+    phi atom after another, or edges with different words, settle nothing."""
+    edges = (box.top, box.bottom, box.delta)
+    atoms = box.word.atoms
+    phis = [i for i, atom in enumerate(atoms) if atom[0] == "phi"]
+    count = len(xs)
+    if phis[1:] or any(handle.word != box.word for handle in edges):
+        return np.zeros(count, dtype=bool), np.full((3, count), np.nan)
+    margin = _FIBER_SCREEN_MARGIN
+    target = np.tile(xs, 3)
+    (sx, sy), (ex, ey) = (np.repeat(np.array([getattr(h, end) for h in edges]).T, count, axis=1) for end in ("start", "end"))
+    s_lo, s_hi = (np.repeat([getattr(h, end) for h in edges], count) for end in ("s_lo", "s_hi"))
+
+    def image(s: np.ndarray, word: tuple[tuple, ...] = atoms, clear: np.ndarray | None = None):
+        return _word_images(sys, word, sx + s * (ex - sx), sy + s * (ey - sy), clear)
+
+    with np.errstate(all="ignore"):
+        ok = np.ones(target.shape, dtype=bool)
+        if phis:
+            w = (sys.uq_half_width + _MEMBERSHIP_TOL) * (1.0 - margin)
+            for s in (s_lo, s_hi):
+                px, py = image(s, atoms[: phis[0]], ok)
+                ok &= (np.abs(px - 1.0) <= w) & (np.abs(py) <= w)
+        x_lo, x_hi = image(s_lo)[0], image(s_hi)[0]
+        reach = margin * np.abs(target)
+        ok &= (np.minimum(x_lo, x_hi) + reach < target) & (target < np.maximum(x_lo, x_hi) - reach)
+        # Illinois regula falsi (b the latest point, a the kept end) until a
+        # root is exact or the bracket spans one step of the base point's doubles
+        spacing = [np.spacing(np.maximum(np.abs(u), np.abs(v))) / np.abs(v - u) for u, v in ((sx, ex), (sy, ey))]
+        step = np.maximum(np.minimum(*spacing), 2.0 * np.spacing(1.0))
+        a, b, f_a, f_b = s_lo, s_hi, x_lo - target, x_hi - target
+        done = ~ok
+        for _ in range(_FIBER_SCREEN_STEPS):
+            done |= (f_b == 0.0) | (np.abs(b - a) <= step)
+            if done.all():
+                break
+            c = b - f_b * (b - a) / (f_b - f_a)
+            inside = (np.minimum(a, b) < c) & (c < np.maximum(a, b)) & ~done
+            c = np.where(inside, c, np.where(done, b, 0.5 * (a + b)))
+            f_c = image(c)[0] - target
+            kept = np.sign(f_c) == np.sign(f_b)
+            a, f_a = np.where(kept, a, b), np.where(kept, 0.5 * f_a, f_b)
+            b, f_b = c, f_c
+        ok &= done
+        _, y = image(b, clear=ok)
+        ok &= np.abs(y) >= np.finfo(float).tiny * (1.0 + margin)
+        ys = y.reshape(3, count)
+        low, high = np.minimum(ys[0], ys[1]), np.maximum(ys[0], ys[1])
+        worst = np.maximum(high - low, np.maximum(low - ys[2], ys[2] - high))
+        floor = (_FIBER_RESOLUTION - 5.0 * margin) * np.abs(ys).max(axis=0)
+        return ok.reshape(3, count).all(axis=0) & (worst <= floor), ys
+
+
 def _fiber_metrics(sys: ModelSystem, box: Box) -> tuple[float, float]:
     """(max fiber length, max fiber gap) over the box abscissas.
 
@@ -287,28 +387,39 @@ def _fiber_metrics(sys: ModelSystem, box: Box) -> tuple[float, float]:
     curves have a ``level_y`` (every B_1), all fibers are that one.  Else both
     maxima get one refinement pass around the sampled argmax.  Values below
     the x-inversion resolution of the fiber's own y scale are reported as 0.
+
+    Arrays screen, scalars decide.  Each pass of abscissas (the Lobatto
+    samples, then each refinement window) is screened at once by
+    ``_screen_fibers``, which settles a fiber as exactly (0.0, 0.0) only
+    when its screened length and gap are at most half the floor and every
+    other check holds by its margin.  Every other fiber is inverted in
+    scalars, in abscissa order, so the values, the argmax, the windows and
+    the first error are those of the scalar loop over every fiber.
     """
     edges = (box.top, box.bottom, box.delta)
     levels = [handle.level_y(sys) for handle in edges]
     if None not in levels:
         return _fiber(*levels)
     inset = 1e-6 * max(box.x_hi - box.x_lo, 1e-300)
-
     # The refinement passes re-sample abscissas the first pass already has
     # (both maxima often sit at the same sample), so each fiber is kept.
-    @functools.cache
-    def fiber(x: float) -> tuple[float, float]:
-        return _fiber(*(handle.eval(sys, handle.invert_x(sys, x))[1] for handle in edges))
+    fibers: dict[float, tuple[float, float]] = {}
+
+    def sample(xs: np.ndarray) -> list[tuple[float, float]]:
+        new = [x for x in dict.fromkeys(map(float, xs)) if x not in fibers]
+        for x, settled in zip(new, _screen_fibers(sys, box, new)[0] if new else ()):
+            fibers[x] = (0.0, 0.0) if settled else _fiber(*(h.eval(sys, h.invert_x(sys, x))[1] for h in edges))
+        return [fibers[float(x)] for x in xs]
 
     xs = _lobatto(box.x_lo + inset, box.x_hi - inset, _FIBER_SAMPLES)
-    data = [fiber(float(x)) for x in xs]
+    data = sample(xs)
 
     def refined(select) -> float:
         values = [select(d) for d in data]
         idx = int(np.argmax(values))
         lo = float(xs[max(idx - 1, 0)])
         hi = float(xs[min(idx + 1, _FIBER_SAMPLES - 1)])
-        sub = [select(fiber(float(x))) for x in _lobatto(lo, hi, _FIBER_SAMPLES)]
+        sub = [select(d) for d in sample(_lobatto(lo, hi, _FIBER_SAMPLES))]
         return max(max(values), max(sub))
 
     return refined(lambda d: d[0]), refined(lambda d: d[1])
@@ -317,8 +428,11 @@ def _fiber_metrics(sys: ModelSystem, box: Box) -> tuple[float, float]:
 def box_metrics(sys: ModelSystem, box: Box) -> tuple[float, float, float]:
     """(W_k, H_k, L_k): horizontal width, largest vertical fiber length, and
     largest vertical clearance between the box and the delta curve.  A B_1
-    takes them in closed form from its level edges.  Heights at deep words
-    underflow to an honest 0.0; the comparisons downstream remain valid."""
+    takes them in closed form from its level edges; a deeper box screens its
+    fibers in arrays and inverts in scalars only those the screen cannot
+    settle as (0.0, 0.0), whose screened length and gap exceed half the
+    floor or which miss a margin.  Heights at deep words underflow to an
+    honest 0.0; the comparisons downstream remain valid."""
     height, gap = _fiber_metrics(sys, box)
     return box.x_hi - box.x_lo, height, gap
 
@@ -406,7 +520,7 @@ def cascade_step(sys: ModelSystem, box: Box) -> tuple[Box, int, Box]:
             f"[{target.x_lo:.6g}, {target.x_hi:.6g}] (u_{box.k}={u})"
         )
     for handle in (nxt.top, nxt.bottom):
-        for s in _lobatto(handle.s_lo, handle.s_hi, 33):
+        for s in _lobatto(handle.s_lo, handle.s_hi, _ESCAPE_SAMPLES):
             y = handle.eval(sys, float(s))[1]
             if y < target.y_lo - tol or y > target.y_hi + tol:
                 raise CascadeEnd(f"B_{nxt.k} escapes R_eps vertically (y={y:.6g}, u_{box.k}={u})")

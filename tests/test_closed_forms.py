@@ -1,7 +1,7 @@
 """What the linear chart decides without sampling: the level edges of B_1,
-the slope-free part of the return and the slope grid's array screen.  Each
-shortcut must give the bits of the path it replaces, and the operation
-counts keep the real work visible."""
+the slope-free part of the return, and the array screens of the slope grid
+and of the cascade's box fibers.  Each shortcut must give the bits of the
+path it replaces, and the operation counts keep the real work visible."""
 
 import functools
 import json
@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 import tangencylab as tl
-from tangencylab import cli, returns
+from tangencylab import cascade, cli, returns
 from tangencylab.cases import SIGN_CASES
-from tangencylab.cascade import CurveHandle, MapWord, _fiber_metrics, _lobatto, box_metrics, build_b1
+from tangencylab.cascade import Box, CurveHandle, MapWord, _fiber, _fiber_metrics, _lobatto, _screen_fibers, box_metrics, build_b1
 from tangencylab.rects import level_range
 from tangencylab.returns import ReturnFrame, SlopeGrid, _rescale_slope, _screen, _u0_image, return_frame, slope_through_return
 
@@ -121,16 +121,26 @@ def test_b1_metrics_invert_nothing(ref, sn10, monkeypatch):
 
 
 def test_phi_box_metrics_budget(ref, cascade12, monkeypatch):
-    # B_2 at level 12 is the box whose word passes through phi, so its fibers
-    # are still found by inversion: 64 fibers x 3 edges = 192 inversions and
-    # 2,249 edge evaluations when measured.
+    # B_2 at level 12 is the box whose word passes through phi.  The fiber
+    # screen settles all 64 of its fibers, so none is inverted in scalars:
+    # 0 inversions and 0 edge evaluations when measured (192 and 2,249
+    # when every fiber was inverted).
     box = cascade12.boxes[1]
     assert ("phi",) in box.word.atoms
     inversions = _count_calls(monkeypatch, CurveHandle, "invert_x")
     evaluations = _count_calls(monkeypatch, CurveHandle, "eval")
     box_metrics(ref, box)
-    assert len(inversions) <= 200
-    assert len(evaluations) <= 2_300
+    assert len(inversions) == 0
+    assert len(evaluations) == 0
+
+
+def test_cmd_cascade_inverts_only_the_cuts(tmp_path, monkeypatch):
+    # One reference cascade command: four cut inversions in each of the
+    # cascade steps that reach the cut, 24 in all, and no fiber inversion
+    # (0 scalar fibers when measured).
+    inversions = _count_calls(monkeypatch, CurveHandle, "invert_x")
+    cli.cmd_cascade(cli.load_config(ROOT / "configs" / "reference.json"), tmp_path)
+    assert len(inversions) <= 24
 
 
 def _transported(sys, point, slope):
@@ -213,9 +223,34 @@ def grid_configs(bench_workloads, tmp_path_factory):
         for key, sign in (("a", case.sign_a), ("b", case.sign_bc), ("lambda", case.sign_lam), ("mu", case.sign_mu)):
             system[key] = sign * abs(base["system"][key])
         configs[case.label] = _config(dict(base, system=system), root, f"case{len(configs)}")
-    for label, changes in _HELD_OUT.items():
+    for label, changes in dict(_HELD_OUT, **_edge_jets(configs["reference"].system)).items():
         configs[label] = _config(dict(base, system=dict(base["system"], **changes)), root, f"jet{len(configs)}")
     return configs
+
+
+def _edge_jets(sys):
+    """Two held-out jets, each with one slope-grid cell on a decision edge
+    of the screen, in closed form.  phi's z_x is linear in a and z_y in e.
+
+    "window end": the top-right cell's z_x is mu^-12 (1+eps)^3, so its
+    return exponent is 11 or 12 by the last bits; its returned slope at
+    slope 0 is under eps^(5/2) at 12 and over it at 11.
+    "R_eps edge": a puts the top-left cell's z_x mid-window at exponent 10,
+    and e its returned ordinate on R_eps's top edge eps^3 + tol, then 16
+    ulps of e higher, so the scalar return misses R_eps by its last bits.
+    The top-left cell has the grid's largest z_y and smallest exponent, so
+    no cell misses R_eps before it.
+    """
+    eps, t = sys.epsilon, sys.transition
+    rect = tl.return_rectangle(eps)
+    u = 1.0 + eps
+    y = rect.y_hi
+    lx = rect.x_hi - 1.0
+    window_a = (u * u * u / sys.mu**12 - t.b * lx * y - t.c * lx**3) / y
+    lx = rect.x_lo - 1.0
+    edge_a = (u**2.5 / sys.mu**10 - t.b * lx * y - t.c * lx**3) / y
+    edge_e = ((rect.y_hi + 1e-12) / sys.lam**10 - 1.0 - t.d * lx) / y
+    return {"window end": {"a": window_a}, "R_eps edge": {"a": edge_a, "e": edge_e + 16 * math.ulp(edge_e)}}
 
 
 def _grid_points(sys):
@@ -281,6 +316,21 @@ def test_cmd_slopes_equals_the_scalar_loop(grid_configs, scalar_frames, tmp_path
     assert got["IV_{++}"].startswith("WrongQuadrantError: phi image abscissa")
 
 
+def test_edge_jets_put_a_cell_on_the_screen_edges(grid_configs, tmp_path):
+    # The held-out edge jets reach the window-end and R_eps margins of the
+    # screen, so test_cmd_slopes_equals_the_scalar_loop covers both.
+    cfg = grid_configs["window end"]
+    u = 1.0 + cfg.system.epsilon
+    sc = _screen(cfg.system)
+    assert sc.near[-1]
+    assert min(abs(sc.log_x[-1] - math.log(end)) for end in (u * u, u * u * u)) <= returns._SCREEN_DELTA
+    cfg = grid_configs["R_eps edge"]
+    sc = _screen(cfg.system)
+    assert sc.near[31]
+    assert abs(sc.log_y[31] - math.log(cfg.system.epsilon**3 + 1e-12)) <= returns._SCREEN_DELTA
+    assert _slopes_outcome(cfg, tmp_path).startswith("SmallExpandingViolationError: f^10(phi(point))")
+
+
 def _log(values):
     # natural logs by libm, as the scalar path takes them
     return np.array([math.log(v) for v in np.ravel(values)]).reshape(np.shape(values))
@@ -321,3 +371,159 @@ def test_screen_gap_stays_below_the_margin(grid_configs, scalar_frames):
     gaps = np.concatenate(gaps)
     assert gaps.size > 60 * 1024
     assert 0.0 < gaps.max() < returns._SCREEN_DELTA / returns._SCREEN_FACTOR
+
+
+
+@pytest.fixture(scope="module")
+def scalar_ordinates():
+    """ordinates(sys, box, x): the top, bottom and delta ordinates of the
+    box's fiber at x, each inverted in scalars once per module."""
+    kept, alive = {}, {}
+
+    def ordinates(sys, box, x):
+        # keyed by identity; holding the objects keeps their ids from reuse
+        alive[id(sys), id(box)] = sys, box
+        key = (id(sys), id(box), x)
+        if key not in kept:
+            kept[key] = tuple(handle.eval(sys, handle.invert_x(sys, x))[1] for handle in (box.top, box.bottom, box.delta))
+        return kept[key]
+
+    return ordinates
+
+
+def _first_pass(box):
+    # the 33 Lobatto abscissas of a box's first pass of fibers
+    inset = 1e-6 * max(box.x_hi - box.x_lo, 1e-300)
+    return [float(x) for x in _lobatto(box.x_lo + inset, box.x_hi - inset, 33)]
+
+
+def _scalar_fiber_metrics(sys, box, ordinates):
+    # _fiber_metrics as it ran before the screen: every fiber of every pass
+    # inverted in scalars, each abscissa once, the first error propagating
+    levels = [handle.level_y(sys) for handle in (box.top, box.bottom, box.delta)]
+    if None not in levels:
+        return _fiber(*levels)
+    fiber = functools.cache(lambda x: _fiber(*ordinates(sys, box, x)))
+    xs = _first_pass(box)
+    data = [fiber(x) for x in xs]
+
+    def refined(select):
+        values = [select(d) for d in data]
+        idx = int(np.argmax(values))
+        window = _lobatto(xs[max(idx - 1, 0)], xs[min(idx + 1, 32)], 33)
+        return max(max(values), max(select(fiber(float(x))) for x in window))
+
+    return refined(lambda d: d[0]), refined(lambda d: d[1])
+
+
+def _metrics_outcome(metrics, *args):
+    # the metrics' bits, or their error, as run_cascade would meet them
+    try:
+        return _bits(metrics(*args))
+    except tl.TangencyLabError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.fixture(scope="module")
+def cascade_boxes(grid_configs):
+    """(label, system, box) for every box whose metrics run_cascade takes,
+    at every level and eps of each grid system, in the order it takes them."""
+    boxes = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cascade, "_fiber_metrics", lambda sys, box: boxes.append((label, sys, box)) or (0.0, 0.0))
+        for label, cfg in grid_configs.items():
+            for eps in cfg.eps_grid:
+                sys = cli._system_for_eps(cfg.system, eps)
+                for n in level_range(sys, *cfg.n_range):
+                    try:
+                        tl.run_cascade(sys, n)
+                    except tl.TangencyLabError:
+                        pass
+    return boxes
+
+
+def test_fiber_metrics_equal_the_scalar_loop(cascade_boxes, scalar_ordinates):
+    # Every B_k, k >= 2, of every grid system: B_2 words pass through phi
+    # once, the sweep's B_3 words twice.  (Every B_1 takes the closed form;
+    # the two tests of level_y-disabled B_1s cover those.)
+    cases = [(label, sys, box) for label, sys, box in cascade_boxes if box.k >= 2]
+    got = {i: (label, _metrics_outcome(_fiber_metrics, sys, box)) for i, (label, sys, box) in enumerate(cases)}
+    want = {i: (label, _metrics_outcome(_scalar_fiber_metrics, sys, box, scalar_ordinates)) for i, (label, sys, box) in enumerate(cases)}
+    assert got == want
+    phi_counts = [sum(atom[0] == "phi" for atom in box.word.atoms) for _, _, box in cases]
+    assert len(cases) > 250 and phi_counts.count(2) > 10
+    assert {label.split()[0] for label, _, _ in cases} >= {"reference", "sweep", "H1", "H2", "II_{++}"}
+
+
+def test_fiber_screen_gap_stays_below_the_margin(cascade_boxes, scalar_ordinates):
+    # The screened ordinates of every settled first-pass fiber lie within the
+    # margin over its stated factor of the scalar ones, relative to the
+    # fiber's y scale.
+    gaps = []
+    for _, sys, box in cascade_boxes:
+        if box.k < 2:
+            continue
+        xs = _first_pass(box)
+        settled, ys = _screen_fibers(sys, box, xs)
+        for j in np.flatnonzero(settled):
+            want = np.array(scalar_ordinates(sys, box, xs[j]))
+            gaps.append(np.abs(ys[:, j] - want).max() / np.abs(want).max())
+    gaps = np.array(gaps)
+    assert gaps.size > 9000
+    assert 0.0 < gaps.max() < cascade._FIBER_SCREEN_MARGIN / cascade._FIBER_SCREEN_FACTOR
+
+
+def test_level_disabled_b1_fibers_equal_the_scalar_loop(ref, sweep0_systems, scalar_ordinates, monkeypatch):
+    # The B_1s of test_level_fibers_equal_the_inverted_fibers through the
+    # screen: their words have linear atoms only, and their delta ordinate 0.0
+    # is no normal double, so every fiber is decided in scalars.
+    cases = [(ref, box) for box in _b1_boxes(ref, (8, 18))]
+    for cfg in sweep0_systems:
+        cases += [(cfg.system, box) for box in _b1_boxes(cfg.system, cfg.n_range)]
+    monkeypatch.setattr(CurveHandle, "level_y", lambda self, sys: None)
+    got = [_metrics_outcome(_fiber_metrics, sys, box) for sys, box in cases]
+    assert got == [_metrics_outcome(_scalar_fiber_metrics, sys, box, scalar_ordinates) for sys, box in cases]
+    heights = [float.fromhex(g[0]) for g in got]
+    assert min(h for h in heights if h > 0.0) < 2.3e-308 < max(heights)
+    assert 0.0 in heights
+
+
+def _floor_boxes(sys, sn):
+    # The level-10 B_1's abscissas and word, with its edges lifted so that
+    # their images and the fiber lengths are normal doubles (its own
+    # ordinates underflow to 0.0): a top near 1e-289 rising by half across
+    # the box, and a bottom and a delta, on padded base segments so their
+    # roots are other doubles, (1 + shift) floors and twice that below it.
+    b1 = build_b1(sys, sn)
+    (x0, _), (x1, _) = b1.top.start, b1.top.end
+    pad = 0.25 * (x1 - x0)
+
+    def edge(lo, hi, scale):
+        level = lambda x: scale * 1e48 * (1.0 + 0.5 * (x - x0) / (x1 - x0))
+        return CurveHandle((lo, level(lo)), (hi, level(hi)), b1.word)
+
+    floor = cascade._FIBER_RESOLUTION
+    return [
+        Box("rectangle-like", b1.x_lo, b1.x_hi, edge(x0, x1, 1.0), edge(x0 - pad, x1 + pad, 1.0 - floor * (1.0 + shift)),
+            edge(x0 - pad, x1 + pad, 1.0 - 2.0 * floor * (1.0 + shift)), k=1)
+        for shift in (-1e-4, 0.0, 1e-4)
+    ]
+
+
+def test_fiber_metrics_at_the_clamp_floor(ref, sn10, scalar_ordinates):
+    # Fiber lengths and gaps within 1e-12 of the y scale around the floor,
+    # on both sides: the screen must leave all of them to the scalar clamp.
+    boxes = _floor_boxes(ref, sn10)
+    offsets = []
+    for box in boxes:
+        for x in _first_pass(box):
+            y_t, y_b, y_d = scalar_ordinates(ref, box, x)
+            floor = cascade._FIBER_RESOLUTION * max(abs(y_t), abs(y_b), abs(y_d))
+            offsets += [(y_t - y_b - floor) / y_t, (y_b - y_d - floor) / y_t]
+    assert max(map(abs, offsets)) < 1e-12
+    assert min(offsets) < 0.0 < max(offsets)
+    got = [_metrics_outcome(_fiber_metrics, ref, box) for box in boxes]
+    assert got == [_metrics_outcome(_scalar_fiber_metrics, ref, box, scalar_ordinates) for box in boxes]
+    # the clamp keeps some maxima and zeroes others
+    values = [float.fromhex(v) for g in got for v in g]
+    assert 0.0 in values and max(values) > 0.0
