@@ -30,12 +30,13 @@ from .errors import (
     WrongQuadrantError,
 )
 from .model import (
-    _DIRECT_POW_LIMIT,
     _MEMBERSHIP_TOL,
     ModelSystem,
     Point,
     _phi_parts,
     _scale_power,
+    _scale_powers,
+    _small_expansion,
     apply_linear,
     apply_phi,
     chart_exit_index,
@@ -173,16 +174,12 @@ _FIBER_SAMPLES = 33
 _ESCAPE_SAMPLES = 33
 
 
-def _assert_x_monotone(sys: ModelSystem, handle: CurveHandle) -> None:
-    xs = [handle.eval(sys, float(s))[0] for s in _lobatto(handle.s_lo, handle.s_hi, _MONOTONE_SAMPLES)]
+def _x_monotone(xs: list[float]) -> bool:
+    """Whether sampled abscissas run one way, no step back by more than 1e-12 of the span."""
     span = xs[-1] - xs[0]
-    if span == 0.0:
-        raise NumericError("edge image collapsed to a single abscissa")
-    direction = math.copysign(1.0, span)
-    tol = 1e-12 * abs(span)
-    for left, right in zip(xs, xs[1:]):
-        if (right - left) * direction < -tol:
-            raise NumericError("edge is not an x-monotone graph at this sampling")
+    direction = math.copysign(1.0, span) if span != 0.0 else 1.0
+    tol = 1e-12 * max(abs(span), 1e-300)
+    return all((b - a) * direction >= -tol for a, b in zip(xs, xs[1:]))
 
 
 @dataclass(frozen=True)
@@ -224,7 +221,8 @@ def build_b1(sys: ModelSystem, sn: SnRectangle) -> Box:
     Edge handles are anchored on the S_n edges with the word [linear(i_n)],
     so deeper boxes can always be traced back to the fold.  The delta curve
     starts as the y = 0 segment under S_n, padded by 25% of the width on
-    each side so later cuts always stay inside its image.
+    each side so later cuts always stay inside its image.  The word maps x
+    to mu^(i_n) x, so a horizontal edge is x-monotone without a check.
     """
     i = i_n(sys, sn.n)
     r = sn.rect
@@ -234,10 +232,7 @@ def build_b1(sys: ModelSystem, sn: SnRectangle) -> Box:
     pad = 0.25 * r.width
     delta = CurveHandle((r.x_lo - pad, 0.0), (r.x_hi + pad, 0.0), word)
     xs = sorted((_scale_power(r.x_lo, sys.mu, i), _scale_power(r.x_hi, sys.mu, i)))
-    box = Box("rectangle-like", xs[0], xs[1], top, bottom, delta, k=1)
-    _assert_x_monotone(sys, top)
-    _assert_x_monotone(sys, bottom)
-    return box
+    return Box("rectangle-like", xs[0], xs[1], top, bottom, delta, k=1)
 
 
 def _edge_extreme_ys(sys: ModelSystem, handle: CurveHandle) -> tuple[float, float]:
@@ -295,25 +290,13 @@ _FIBER_SCREEN_STEPS = 64  # cap on the steps of the screen's root search
 
 
 def _word_images(sys: ModelSystem, atoms: tuple[tuple, ...], x: np.ndarray, y: np.ndarray, clear: np.ndarray | None = None):
-    """``MapWord.apply`` on arrays of points, without phi's U(q) check.  A
-    ``clear`` mask keeps the rows whose log-space powers in ``_scale_power``
-    stay the margin below 709 (the screen does not saturate to inf) and off -745."""
+    """``MapWord.apply`` on arrays of points, without phi's U(q) check.  A ``clear``
+    mask keeps the rows whose powers keep the margin off saturation (``_scale_powers``)."""
     for atom in atoms:
         if atom[0] == "phi":
             x, y = _phi_parts(sys, x - 1.0, y)
-            continue
-        k = atom[1]
-        if abs(k) <= _DIRECT_POW_LIMIT:
-            x, y = x * sys.mu**k, y * sys.lam**k
-            continue
-        powers = []
-        for v, base in ((x, sys.mu), (y, sys.lam)):
-            t = k * math.log(abs(base)) + np.log(np.abs(v))
-            if clear is not None:
-                clear &= (t < 709.0 - _FIBER_SCREEN_MARGIN) & (np.abs(t + 745.0) > _FIBER_SCREEN_MARGIN)
-            power = np.copysign(np.exp(t) * (t >= -745.0), v)
-            powers.append(-power if base < 0.0 and k % 2 else power)
-        x, y = powers
+        else:
+            x, y = (_scale_powers(v, base, atom[1], clear, _FIBER_SCREEN_MARGIN) for v, base in ((x, sys.mu), (y, sys.lam)))
     return x, y
 
 
@@ -323,8 +306,8 @@ def _screen_fibers(sys: ModelSystem, box: Box, xs: list[float]) -> tuple[np.ndar
     One lockstep root search on arrays finds them on all three edges.  A
     fiber is settled when its screened length and gap are at most half its
     floor, its ordinates are normal doubles, and, by the margin, every edge's
-    image range holds its abscissa, every log-space power keeps off -745 and
-    709, and every phi atom's input over the whole edge stays in U(q).  That
+    image range holds its abscissa, every log-space power keeps off saturation,
+    and every phi atom's input over the whole edge stays in U(q).  That
     input is certified from its ends, so it must be a straight segment: a
     phi atom after another, or edges with different words, settle nothing."""
     edges = (box.top, box.bottom, box.delta)
@@ -344,10 +327,8 @@ def _screen_fibers(sys: ModelSystem, box: Box, xs: list[float]) -> tuple[np.ndar
     with np.errstate(all="ignore"):
         ok = np.ones(target.shape, dtype=bool)
         if phis:
-            w = (sys.uq_half_width + _MEMBERSHIP_TOL) * (1.0 - margin)
             for s in (s_lo, s_hi):
-                px, py = image(s, atoms[: phis[0]], ok)
-                ok &= (np.abs(px - 1.0) <= w) & (np.abs(py) <= w)
+                ok &= sys.in_uq(image(s, atoms[: phis[0]], ok), margin)
         x_lo, x_hi = image(s_lo)[0], image(s_hi)[0]
         reach = margin * np.abs(target)
         ok &= (np.minimum(x_lo, x_hi) + reach < target) & (target < np.maximum(x_lo, x_hi) - reach)
@@ -481,16 +462,14 @@ def cascade_step(sys: ModelSystem, box: Box) -> tuple[Box, int, Box]:
             "cut strip reaches nonpositive abscissas: mirrored-rectangle case"
         )
 
-    cut_top = box.top.extended_word(("phi",))
-    cut_bottom = box.bottom.extended_word(("phi",))
-    _assert_x_monotone(sys, cut_top)
-    _assert_x_monotone(sys, cut_bottom)
-    cut_top = cut_top.restricted(
-        cut_top.invert_x(sys, x_minus), cut_top.invert_x(sys, x_plus)
-    )
-    cut_bottom = cut_bottom.restricted(
-        cut_bottom.invert_x(sys, x_minus), cut_bottom.invert_x(sys, x_plus)
-    )
+    cuts = [handle.extended_word(("phi",)) for handle in (box.top, box.bottom)]
+    for handle in cuts:
+        edge_xs = [handle.eval(sys, float(s))[0] for s in _lobatto(handle.s_lo, handle.s_hi, _MONOTONE_SAMPLES)]
+        if edge_xs[-1] - edge_xs[0] == 0.0:
+            raise NumericError("edge image collapsed to a single abscissa")
+        if not _x_monotone(edge_xs):
+            raise NumericError("edge is not an x-monotone graph at this sampling")
+    cut_top, cut_bottom = (h.restricted(h.invert_x(sys, x_minus), h.invert_x(sys, x_plus)) for h in cuts)
     cut_delta = box.delta.extended_word(("phi",))
     cut = Box("parallelogram-like", x_minus, x_plus, cut_top, cut_bottom, cut_delta, k=box.k)
 
@@ -513,7 +492,7 @@ def cascade_step(sys: ModelSystem, box: Box) -> tuple[Box, int, Box]:
     )
 
     target = return_rectangle(sys.epsilon)
-    tol = 1e-12
+    tol = _MEMBERSHIP_TOL
     if not (target.x_lo - tol <= nxt.x_lo and nxt.x_hi <= target.x_hi + tol):
         raise CascadeEnd(
             f"B_{nxt.k} spans [{nxt.x_lo:.6g}, {nxt.x_hi:.6g}], outside R_eps "
@@ -568,7 +547,7 @@ def run_cascade(sys: ModelSystem, n: int) -> CascadeResult:
             f"case {case.label} needs the mirrored rectangle; only the standard side is supported"
         )
     eps = sys.epsilon
-    if abs(sys.mu) ** 1.5 * abs(sys.lam) >= 1.0:
+    if not _small_expansion(sys):
         return _empty_result(n)
     _, tau1 = tau_bounds(sys)
     if tau1 * eps >= 1.0:
@@ -638,20 +617,13 @@ def count_crossing_arcs(sys: ModelSystem, n: int, box: Box) -> int:
     band_hi = max(top_hi, bot_hi)
     band_tol = max(1e-12, 10.0 * (band_hi - band_lo))
 
-    def track(t: float) -> Point:
-        return word.apply(sys, fold_point(sys, n, t))
-
     def monotone_samples(t0: float, t1: float, depth: int) -> list[Point]:
         """Samples of the tracked branch, recursively split until every
         piece reads as x-monotone (the geometry guarantees it; sampling can
         alias near the fold)."""
         ts = _lobatto(t0, t1, _ARC_SAMPLES)
-        pts = [track(float(t)) for t in ts]
-        xs = [p[0] for p in pts]
-        span = xs[-1] - xs[0]
-        direction = math.copysign(1.0, span) if span != 0.0 else 1.0
-        tol = 1e-12 * max(abs(span), 1e-300)
-        if all((b - a) * direction >= -tol for a, b in zip(xs, xs[1:])):
+        pts = [word.apply(sys, fold_point(sys, n, float(t))) for t in ts]
+        if _x_monotone([p[0] for p in pts]):
             return pts
         if depth >= _ARC_MAX_REFINE:
             raise InconclusiveError(

@@ -18,7 +18,10 @@ invariant leaves at ``q`` cubic rather than quadratic.
 
 Everything downstream (return rectangles, slope transport, the box cascade,
 the conjugacy moduli) is built from the three primitives in this module:
-``apply_linear``, ``apply_phi``, ``jacobian_phi``.
+``apply_linear``, ``apply_phi``, ``jacobian_phi``.  The array screens of
+``returns`` and ``cascade`` take the model's rules from here, each with its own
+margin: saturation at ``_LOG_MIN``/``_LOG_MAX``, sign parity (``_flips_sign``),
+``_scale_powers``, ``in_uq`` on arrays and the gate ``_small_expansion``.
 """
 
 from __future__ import annotations
@@ -66,6 +69,9 @@ _DIRECT_POW_LIMIT = 50
 # Slack of every membership test (charts, rectangles, the seed domain), so a
 # point computed on a boundary is not rejected by its last bit.
 _MEMBERSHIP_TOL = 1e-12
+
+# The double range in log space: powers with logs above _LOG_MAX are inf, below _LOG_MIN 0.0.
+_LOG_MAX, _LOG_MIN = 709.0, -745.0
 
 
 def signed_power(base: float, k: int) -> float:
@@ -249,9 +255,10 @@ class ModelSystem:
         w = self.chart_half_width + _MEMBERSHIP_TOL
         return abs(point[0]) <= w and abs(point[1]) <= w
 
-    def in_uq(self, point: Point) -> bool:
-        w = self.uq_half_width + _MEMBERSHIP_TOL
-        return abs(point[0] - 1.0) <= w and abs(point[1]) <= w
+    def in_uq(self, point: Point, margin: float = 0.0) -> bool:
+        """U(q) membership, also on arrays; a screen shrinks U(q) by its relative margin."""
+        w = (self.uq_half_width + _MEMBERSHIP_TOL) * (1.0 - margin)
+        return (abs(point[0] - 1.0) <= w) & (abs(point[1]) <= w)
 
     def in_ur(self, point: Point) -> bool:
         w = self.ur_half_width + _MEMBERSHIP_TOL
@@ -278,14 +285,36 @@ def _scale_power(value: float, base: float, k: int) -> float:
     if abs(k) <= _DIRECT_POW_LIMIT:
         return value * base**k
     sign = math.copysign(1.0, value)
-    if base < 0.0 and k % 2 != 0:
+    if _flips_sign(base, k):
         sign = -sign
-    t = k * math.log(abs(base)) + math.log(abs(value))
-    if t > 709.0:
-        return sign * math.inf
-    if t < -745.0:
-        return sign * 0.0
-    return sign * math.exp(t)
+    return sign * _saturated_exp(k * math.log(abs(base)) + math.log(abs(value)))
+
+
+def _scale_powers(values: np.ndarray, base: float, k: int, clear: np.ndarray | None, margin: float) -> np.ndarray:
+    """``_scale_power`` on an array, by numpy's log and exp.  The ``clear`` mask keeps the
+    values whose log-space power stays the margin below _LOG_MAX (np.exp saturates only
+    past 709.78) and off _LOG_MIN, so that they saturate as the scalar powers do."""
+    if abs(k) <= _DIRECT_POW_LIMIT:
+        return values * base**k
+    t = k * math.log(abs(base)) + np.log(np.abs(values))
+    if clear is not None:
+        clear &= (t < _LOG_MAX - margin) & (np.abs(t - _LOG_MIN) > margin)
+    power = np.copysign(np.exp(t) * (t >= _LOG_MIN), values)
+    return -power if _flips_sign(base, k) else power
+
+
+def _flips_sign(base: float, k):
+    """Whether base**k is negative: a negative base to an odd int (or whole float array) k."""
+    return (base < 0.0) & (k % 2 == 1)
+
+
+def _saturated_exp(t: float) -> float:
+    """exp(t) over the double range: inf above _LOG_MAX, 0.0 below _LOG_MIN."""
+    if t > _LOG_MAX:
+        return math.inf
+    if t < _LOG_MIN:
+        return 0.0
+    return math.exp(t)
 
 
 def _window_power(x: float, base: float, lo: float, hi: float, k_min: int) -> int | None:
@@ -440,6 +469,11 @@ def tau_bounds(sys: ModelSystem, region: Rect | None = None) -> tuple[float, flo
     return bounds
 
 
+def _small_expansion(sys: ModelSystem) -> bool:
+    """|mu|^(3/2) < 1/|lam|, the expansion bound of the slope estimates and the cascade."""
+    return abs(sys.mu) ** 1.5 < 1.0 / abs(sys.lam)
+
+
 def validate(sys: ModelSystem) -> ConditionReport:
     """Check the standing hypotheses and return a report (never raises for a
     merely invalid system; each failure is a named entry)."""
@@ -478,10 +512,9 @@ def validate(sys: ModelSystem) -> ConditionReport:
         rep.add("tau_upper", False, "skipped", "prior conditions failed")
 
     if 0.0 < abs(lam) < 1.0 < abs(mu):
-        balance = abs(mu) ** 1.5 < 1.0 / abs(lam)
         rep.add(
             "expansion_balance",
-            balance,
+            _small_expansion(sys),
             f"|mu|^1.5={abs(mu) ** 1.5:.6g} vs 1/|lam|={1.0 / abs(lam):.6g}",
             "expansion must stay below the contraction budget",
         )

@@ -112,6 +112,13 @@ def return_record(sys: ModelSystem, n: int) -> ReturnRecord:
     return ReturnRecord(n, r_n, m_n, x_n, s_n, math.exp(log_c))
 
 
+def _levels(n_range, minimum: int, error: str) -> list[int]:
+    ns = sorted(set(int(n) for n in n_range))
+    if len(ns) < minimum:
+        raise DomainError(error)
+    return ns
+
+
 def _slope_with_stderr(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
     slope, intercept = np.polyfit(xs, ys, 1)
     resid = ys - (slope * xs + intercept)
@@ -128,9 +135,7 @@ def modulus_fit(sys: ModelSystem, n_range) -> tuple[float, float]:
     The staircase m(n) has unit jitter around the line rho*n + const, so the
     fit needs at least six levels before the slope settles.
     """
-    ns = sorted(set(int(n) for n in n_range))
-    if len(ns) < 6:
-        raise DomainError("modulus fit needs at least six distinct levels")
+    ns = _levels(n_range, 6, "modulus fit needs at least six distinct levels")
     ms = [return_record(sys, n).m_n for n in ns]
     return _slope_with_stderr(np.array(ns, dtype=float), np.array(ms, dtype=float))
 
@@ -143,9 +148,7 @@ def sn_cn_series(sys: ModelSystem, n_range) -> list[tuple[int, float, float]]:
     1/c_n - 1 = (y0(mu^-n) - z0) / z0, so a tilted seed leaves a gap that
     decays only like |mu|^-n (see ``ReturnRecord``).
     """
-    ns = sorted(set(int(n) for n in n_range))
-    if not ns:
-        raise DomainError("empty level range")
+    ns = _levels(n_range, 1, "empty level range")
     out = []
     for n in ns:
         rec = return_record(sys, n)
@@ -159,9 +162,7 @@ def eigenvalue_estimates(sys: ModelSystem, n_range) -> tuple[float, float]:
     |lam| from the decay of the tip abscissas, |mu| from the modulus slope;
     conjugate systems must agree on both.
     """
-    ns = sorted(set(int(n) for n in n_range))
-    if len(ns) < 6:
-        raise DomainError("eigenvalue estimate needs at least six distinct levels")
+    ns = _levels(n_range, 6, "eigenvalue estimate needs at least six distinct levels")
     logs = [math.log(pick_rn(sys, n)[0]) for n in ns]
     steps = [(logs[i + 1] - logs[i]) / (ns[i + 1] - ns[i]) for i in range(len(ns) - 1)]
     lam_hat = math.exp(sum(steps) / len(steps))
@@ -314,9 +315,7 @@ def correspondence_points(pair: ConjugacyPair, n_range) -> list[tuple[float, flo
     these sample the power law h(x) = C x^tau; the abscissas decay like
     lam_0^n, so a handful of levels spans several decades.
     """
-    ns = sorted(set(int(n) for n in n_range))
-    if not ns:
-        raise DomainError("empty level range")
+    ns = _levels(n_range, 1, "empty level range")
     shift_factor = signed_power(pair.sys_0.mu, pair.m0_shift)
     out = []
     for n in ns:

@@ -29,14 +29,19 @@ from .errors import (
 )
 from .leaves import t_window
 from .model import (
+    _LOG_MAX,
+    _LOG_MIN,
     _MEMBERSHIP_TOL,
     ModelSystem,
     Point,
     Rect,
     TransitionSpec,
+    _flips_sign,
     _phi_jacobian,
     _phi_parts,
+    _saturated_exp,
     _scale_power,
+    _small_expansion,
     _window_power,
     apply_linear,
     apply_phi,
@@ -130,17 +135,10 @@ def _u0_image(sys: ModelSystem, point: Point, region: Rect | None = None) -> tup
 
 
 def _rescale_slope(sys: ModelSystem, slope: float, k: int) -> float:
-    """slope * (|lam|/|mu|)^k in log space; honest 0.0 on underflow."""
+    """slope * (|lam|/|mu|)^k in log space; honest 0.0 on underflow, VERTICAL on overflow."""
     if slope == 0.0:
         return 0.0
-    if math.isinf(slope):
-        return VERTICAL
-    t = math.log(slope) + k * (math.log(abs(sys.lam)) - math.log(abs(sys.mu)))
-    if t < -745.0:
-        return 0.0
-    if t > 709.0:
-        return VERTICAL
-    return math.exp(t)
+    return _saturated_exp(math.log(slope) + k * (math.log(abs(sys.lam)) - math.log(abs(sys.mu))))
 
 
 @dataclass(frozen=True)
@@ -289,8 +287,6 @@ def _screen(sys: ModelSystem) -> _Screen:
     ys = np.linspace(rect.y_lo, rect.y_hi, _GRID_SIDE)
     x, y = (a.ravel() for a in np.meshgrid(xs, ys, indexing="ij"))
     lx = x - 1.0
-    w = sys.uq_half_width + tol
-    in_uq = (np.abs(lx) <= w) & (np.abs(y) <= w)
     log_mu, log_lam = math.log(abs(sys.mu)), math.log(abs(sys.lam))
     u = 1.0 + eps
     lo, hi = u * u, u * u * u
@@ -306,7 +302,7 @@ def _screen(sys: ModelSystem) -> _Screen:
         log_zy = np.log(np.abs(zy))
         log_y = log_zy + k * log_lam
         log_y_chart = log_zy + np.maximum(log_lam, k * log_lam)
-        y_negative = (zy < 0.0) != ((sys.lam < 0.0) & (k % 2 == 1))
+        y_negative = (zy < 0.0) != _flips_sign(sys.lam, k)
         log_inter = np.log(np.abs((gx + gy * s) / (fx + fy * s)))
         log_returned = log_inter + k[:, None] * (log_lam - log_mu)
     x_lo, x_hi = math.log(rect.x_lo - tol), math.log(rect.x_hi + tol)
@@ -314,10 +310,10 @@ def _screen(sys: ModelSystem) -> _Screen:
     y_lo, y_hi = math.log(tol), math.log(rect.y_hi + tol)
     inter_bound, returned_bound = math.log(eps**-2.5), math.log(cap)
     returns = (
-        in_uq
+        sys.in_uq((x, y))
         & (zx > 0.0)
         & (k >= 1)
-        & ((sys.mu > 0.0) | (k % 2 == 0))
+        & ~_flips_sign(sys.mu, k)
         & (log_x <= log_w)
         & (log_y_chart <= log_w)
         & (x_lo <= log_x)
@@ -330,7 +326,7 @@ def _screen(sys: ModelSystem) -> _Screen:
         (log_y_chart, (log_w,)),
         (log_y, (y_lo, y_hi)),
         (log_inter, (inter_bound,)),
-        (log_returned, (returned_bound, -745.0, 709.0)),
+        (log_returned, (returned_bound, _LOG_MIN, _LOG_MAX)),
     ]
     near = np.abs(zx) <= _SCREEN_DELTA * zx_scale
     for values, bounds in edges:
@@ -561,7 +557,7 @@ def find_s_n0(
     claimed under |mu|^(3/2) < 1/|lam|, so the search refuses to certify
     anything when that fails.
     """
-    if abs(sys.mu) ** 1.5 >= 1.0 / abs(sys.lam):
+    if not _small_expansion(sys):
         raise NotFoundError(
             f"expansion too strong for slope certification: |mu|^(3/2)|lam| = "
             f"{abs(sys.mu) ** 1.5 * abs(sys.lam):.4g} >= 1"

@@ -197,13 +197,34 @@ def test_tilted_seed_all_run(tmp_path):
     assert (code, rep["failed"]) == (1, ["moduli:s_step"])
 
 
+def test_quartic_jet_all_run(tmp_path):
+    # H1 term 2.0 x^4: 22 of 26 assertions pass.  This records a regression
+    # of the fold polynomials (28 of 30 passed while S_n was sampled): at
+    # level 1, X' has no zero below t = 0, so vertical_params raises
+    # NoVerticalTangencyError where WindowExceededError let the level walkers
+    # skip the level, and slope_search and the conjugacy pairs fail.
+    raw = json.loads(CONFIG.read_text())
+    raw["system"]["h1_terms"] = [[4, 0, 2.0]]
+    out = tmp_path / "out"
+    code = run(_write(tmp_path, raw), "all", out_dir=str(out))
+    rep = json.loads((out / "report.json").read_text())
+    total = sum(len(sec["assertions"]) for sec in rep["commands"].values())
+    assert (code, total - len(rep["failed"]), total) == (1, 22, 26)
+    assert rep["failed"] == ["leaves:tangency_coefficient", "slopes:slope_search", "moduli:probe_band", "conjugacy:conjugacy_completed"]
+    slopes = [a["detail"] for a in rep["commands"]["slopes"]["assertions"] if not a["passed"]]
+    assert {rep["commands"]["conjugacy"]["results"]["error"], *slopes} == {"X' has no zero below t = 0 at level n=1; no real tangency pair"}
+
+
 def test_reference_run_work_counts(ref_config, tmp_path, monkeypatch):
     # One reference all run from empty caches: the fold polynomials leave
     # 1,386 fold_point calls (8,221 with 255 sampled curve points per S_n),
-    # and no Newton solve falls back to bisection.
+    # and no Newton solve falls back to bisection.  The cascade makes 1,078
+    # edge evaluations when measured (1,408 while build_b1 sampled both B_1
+    # edges) and inverts only the 24 cuts of its steps, and the slope grid
+    # builds the 2 scalar frames of its maxima: both screens settle the rest.
     monkeypatch.setattr(rects, "_SN_CACHE", {})
     monkeypatch.setattr(rects, "_FOLD_CACHE", {})
-    counts = {"fold_point": 0, "_bisect_or_fail": 0}
+    counts = {"fold_point": 0, "_bisect_or_fail": 0, "eval": 0, "invert_x": 0, "return_frame": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -216,9 +237,14 @@ def test_reference_run_work_counts(ref_config, tmp_path, monkeypatch):
     for module in (rects, returns, cascade, moduli):
         monkeypatch.setattr(module, "fold_point", fold_point)
     monkeypatch.setattr(numerics, "_bisect_or_fail", counted("_bisect_or_fail", numerics._bisect_or_fail))
+    for name in ("eval", "invert_x"):
+        monkeypatch.setattr(cascade.CurveHandle, name, counted(name, getattr(cascade.CurveHandle, name)))
+    monkeypatch.setattr(returns, "return_frame", counted("return_frame", returns.return_frame))
     assert run(ref_config, "all", out_dir=str(tmp_path / "out")) == 0
     assert 0 < counts["fold_point"] <= 2000
     assert counts["_bisect_or_fail"] == 0
+    assert counts["eval"] <= 1078
+    assert (counts["invert_x"], counts["return_frame"]) == (24, 2)
 
 
 def test_mismatched_pair_keeps_the_sign_case(tmp_path, monkeypatch):

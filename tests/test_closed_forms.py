@@ -6,6 +6,7 @@ path it replaces, and the operation counts keep the real work visible."""
 import functools
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ import tangencylab as tl
 from tangencylab import cascade, cli, returns
 from tangencylab.cases import SIGN_CASES
 from tangencylab.cascade import Box, CurveHandle, MapWord, _fiber, _fiber_metrics, _lobatto, _screen_fibers, box_metrics, build_b1
+from tangencylab.model import _MEMBERSHIP_TOL
 from tangencylab.rects import level_range
 from tangencylab.returns import ReturnFrame, SlopeGrid, _rescale_slope, _screen, _u0_image, return_frame, slope_through_return
 
@@ -331,6 +333,37 @@ def test_edge_jets_put_a_cell_on_the_screen_edges(grid_configs, tmp_path):
     assert _slopes_outcome(cfg, tmp_path).startswith("SmallExpandingViolationError: f^10(phi(point))")
 
 
+def _saturated_jet(sys, k, log_returned):
+    """``sys`` with lam = 0.9 and a and d solved so the top-left grid cell
+    returns with exponent k and, at slope 0, a returned slope of log
+    ``log_returned``.  phi's z_x is linear in a, and at slope 0 the transit
+    slope is G_x / F_x = d / (b y + 3 c x^2)."""
+    sys = replace(sys, saddle=replace(sys.saddle, lam=0.9))
+    t = sys.transition
+    rect = tl.return_rectangle(sys.epsilon)
+    y, lx = rect.y_hi, rect.x_lo - 1.0
+    a = ((1.0 + sys.epsilon) ** 2.5 / sys.mu**k - t.b * lx * y - t.c * lx**3) / y
+    log_ratio = math.log(abs(sys.lam)) - math.log(abs(sys.mu))
+    d = math.exp(log_returned - k * log_ratio + math.log(abs(t.b * y + 3.0 * t.c * lx**2)))
+    return replace(sys, transition=replace(t, a=a, d=d))
+
+
+@pytest.mark.parametrize("point, k", [(-745.0, 450), (709.0, 2)])
+def test_screen_leaves_saturated_returns_to_scalars(ref, point, k):
+    # No grid system has a cell near the saturation points of the returned
+    # slope.  These jets put the top-left cell's returned log slope on a
+    # point, half a margin either side of it and two margins either side:
+    # the screen leaves the cell to the scalar path exactly in the first
+    # three, where the scalar power may saturate and the screen's log cannot
+    # tell.
+    delta = returns._SCREEN_DELTA
+    for offset, near in ((0.0, True), (-0.5, True), (0.5, True), (-2.0, False), (2.0, False)):
+        sc = _screen(_saturated_jet(ref, k, point + offset * delta))
+        assert sc.k[31] == k
+        assert abs(sc.log_returned[31, 0] - (point + offset * delta)) < 0.01 * delta
+        assert sc.near[31] == near, offset
+
+
 def _log(values):
     # natural logs by libm, as the scalar path takes them
     return np.array([math.log(v) for v in np.ravel(values)]).reshape(np.shape(values))
@@ -425,12 +458,15 @@ def _metrics_outcome(metrics, *args):
 
 
 @pytest.fixture(scope="module")
-def cascade_boxes(grid_configs):
-    """(label, system, box) for every box whose metrics run_cascade takes,
-    at every level and eps of each grid system, in the order it takes them."""
-    boxes = []
+def cascade_runs(grid_configs):
+    """(measured, built): (label, system, box) for every box whose metrics
+    run_cascade takes, and for every B_1 it builds, at every level and eps
+    of each grid system, in the order it meets them."""
+    measured, built = [], []
+    build_b1 = cascade.build_b1
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cascade, "_fiber_metrics", lambda sys, box: boxes.append((label, sys, box)) or (0.0, 0.0))
+        mp.setattr(cascade, "_fiber_metrics", lambda sys, box: measured.append((label, sys, box)) or (0.0, 0.0))
+        mp.setattr(cascade, "build_b1", lambda sys, sn: built.append((label, sys, build_b1(sys, sn))) or built[-1][2])
         for label, cfg in grid_configs.items():
             for eps in cfg.eps_grid:
                 sys = cli._system_for_eps(cfg.system, eps)
@@ -439,7 +475,28 @@ def cascade_boxes(grid_configs):
                         tl.run_cascade(sys, n)
                     except tl.TangencyLabError:
                         pass
-    return boxes
+    return measured, built
+
+
+@pytest.fixture(scope="module")
+def cascade_boxes(cascade_runs):
+    """(label, system, box) for every box whose metrics run_cascade takes."""
+    return cascade_runs[0]
+
+
+def test_b1_edges_are_x_monotone(cascade_runs):
+    # build_b1 checks no edge: its word of linear atoms maps x to mu^k x.
+    # Both edges of every B_1 that run_cascade builds on the grid systems
+    # pass the cut edges' check, on its samples and with its tolerance; in
+    # fact no sample steps back at all.
+    _, built = cascade_runs
+    for label, sys, box in built:
+        for handle in (box.top, box.bottom):
+            xs = [handle.eval(sys, float(s))[0] for s in _lobatto(handle.s_lo, handle.s_hi, cascade._MONOTONE_SAMPLES)]
+            assert xs[-1] - xs[0] != 0.0 and cascade._x_monotone(xs), label
+            assert (np.diff(xs) * np.sign(xs[-1] - xs[0]) > 0.0).all(), label
+    assert len(built) > 500
+    assert {label.split()[0] for label, _, _ in built} >= {"reference", "sweep", "H1", "H2", "II_{++}", "II_{-+}"}
 
 
 def test_fiber_metrics_equal_the_scalar_loop(cascade_boxes, scalar_ordinates):
@@ -486,6 +543,45 @@ def test_level_disabled_b1_fibers_equal_the_scalar_loop(ref, sweep0_systems, sca
     heights = [float.fromhex(g[0]) for g in got]
     assert min(h for h in heights if h > 0.0) < 2.3e-308 < max(heights)
     assert 0.0 in heights
+
+
+@pytest.mark.parametrize("point, k0", [(-745.0, 600), (709.0, -600)])
+@pytest.mark.parametrize("lam", [0.3, -0.3])
+def test_word_images_keep_the_margin_off_saturation(ref, point, k0, lam):
+    # Ordinates whose log-space powers sit two margins and half a margin
+    # either side of a saturation point: the clear mask drops the ones within
+    # the margin and every power above _LOG_MAX - margin (numpy's exp
+    # saturates only past 709.78); the powers it keeps are the scalar ones,
+    # and odd and even k of a negative lam carry the scalar power's sign.
+    sys = replace(ref, saddle=replace(ref.saddle, lam=lam))
+    margin = cascade._FIBER_SCREEN_MARGIN
+    offsets = np.array([-2.0, -0.5, 0.5, 2.0])
+    for k in (k0, k0 + 1):
+        y = np.exp(point + offsets * margin - k * math.log(0.3))
+        word = (("linear", k),)
+        clear = np.ones(len(y), dtype=bool)
+        _, got = cascade._word_images(sys, word, np.ones(len(y)), y, clear)
+        assert clear.tolist() == ([True, False, False, True] if point < 0.0 else [True, False, False, False])
+        want = np.array([MapWord(word).apply(sys, (1.0, float(v)))[1] for v in y])
+        assert (np.sign(got) == np.sign(want)).all()
+        assert got[clear] == pytest.approx(want[clear], rel=1e-12)
+        # without a mask the powers are the same
+        assert (cascade._word_images(sys, word, np.ones(len(y)), y)[1] == got).all()
+
+
+@pytest.mark.parametrize("inside, settles", [(2.0, True), (0.5, False)])
+def test_fiber_screen_keeps_phi_inputs_the_margin_inside_uq(ref, scalar_ordinates, inside, settles):
+    # Three coincident edges under a lone phi atom, so every fiber is
+    # (0.0, 0.0) and settles unless a check fails: with the edges two
+    # margins inside U(q)'s top edge every fiber settles, and with them half
+    # a margin inside none does.  Either way the metrics are the scalar ones.
+    y = (ref.uq_half_width + _MEMBERSHIP_TOL) * (1.0 - inside * cascade._FIBER_SCREEN_MARGIN)
+    edge = CurveHandle((0.99, y), (1.01, y), MapWord((("phi",),)))
+    x_lo, x_hi = sorted(edge.eval(ref, s)[0] for s in (0.0, 1.0))
+    box = Box("parallelogram-like", x_lo, x_hi, edge, edge, edge, k=2)
+    settled, _ = _screen_fibers(ref, box, _first_pass(box))
+    assert settled.all() if settles else not settled.any()
+    assert _metrics_outcome(_fiber_metrics, ref, box) == _metrics_outcome(_scalar_fiber_metrics, ref, box, scalar_ordinates) == _bits([0.0, 0.0])
 
 
 def _floor_boxes(sys, sn):

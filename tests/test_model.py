@@ -56,6 +56,37 @@ def test_signed_power_tracks_sign():
     assert signed_power(-0.3, 4) > 0.0
 
 
+def test_saturation_points():
+    # the double range in log space, as every log-space power cuts it
+    assert model._saturated_exp(model._LOG_MAX) == math.exp(709.0) < math.inf
+    assert model._saturated_exp(math.nextafter(model._LOG_MAX, math.inf)) == math.inf
+    assert model._saturated_exp(model._LOG_MIN) == math.exp(-745.0) > 0.0
+    assert model._saturated_exp(math.nextafter(model._LOG_MIN, -math.inf)) == 0.0
+    assert model._saturated_exp(-math.inf) == 0.0 and model._saturated_exp(math.inf) == math.inf
+
+
+def test_flips_sign_on_ints_and_arrays():
+    assert [bool(model._flips_sign(base, k)) for base, k in ((-0.3, 3), (-0.3, -3), (-0.3, 4), (0.3, 3))] == [True, True, False, False]
+    assert model._flips_sign(-1.02, np.array([1.0, 2.0, -3.0, 0.0])).tolist() == [True, False, True, False]
+    assert not model._flips_sign(1.02, np.array([1.0, 3.0])).any()
+
+
+def test_in_uq_on_arrays_at_the_edge(ref):
+    # The last double inside U(q) and the first outside, along either axis,
+    # and the same with the square shrunk by a relative margin: the array
+    # test agrees with the scalar one point by point.
+    w = ref.uq_half_width + _MEMBERSHIP_TOL
+    for margin in (0.0, 1e-10):
+        edge = w * (1.0 - margin)
+        out = math.nextafter(edge, math.inf)
+        points = [(1.0, edge), (1.0, -edge), (1.0, out), (1.0, -out), (1.0 + edge, 0.0), (1.0 - edge, 0.0), (1.0 + 2.0 * out, 0.0)]
+        xs, ys = np.array(points).T
+        got = ref.in_uq((xs, ys), margin)
+        assert got.tolist() == [ref.in_uq(p, margin) for p in points]
+        assert got.tolist()[:4] == [True, True, False, False] and not got[-1]
+    assert ref.in_uq((1.0, w * (1.0 - 0.5e-10))) and not ref.in_uq((1.0, w * (1.0 - 0.5e-10)), 1e-10)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.floats(min_value=1e-6, max_value=1.0),
