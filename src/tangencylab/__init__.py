@@ -35,7 +35,6 @@ from .model import (
     chart_exit_index,
     jacobian_phi,
     return_rectangle,
-    return_rectangle_minus,
     signed_power,
     tau_bounds,
     validate,

@@ -36,6 +36,7 @@ from .model import (
     _phi_parts,
     _scale_power,
     _scale_powers,
+    _short_recurrence,
     _small_expansion,
     apply_linear,
     apply_phi,
@@ -235,19 +236,24 @@ def build_b1(sys: ModelSystem, sn: SnRectangle) -> Box:
     return Box("rectangle-like", xs[0], xs[1], top, bottom, delta, k=1)
 
 
+def _edge_samples(sys: ModelSystem, handle: CurveHandle, lo: float, hi: float) -> tuple[np.ndarray, list[Point]]:
+    """The _EDGE_SAMPLES Lobatto parameters of [lo, hi] and the handle's images there."""
+    ss = _lobatto(lo, hi, _EDGE_SAMPLES)
+    return ss, [handle.eval(sys, float(s)) for s in ss]
+
+
 def _edge_extreme_ys(sys: ModelSystem, handle: CurveHandle) -> tuple[float, float]:
     """(min_y, max_y) over the handle, Lobatto-sampled with one refinement
     pass around each extremum."""
     if (y := handle.level_y(sys)) is not None:
         return y, y
-    ss = _lobatto(handle.s_lo, handle.s_hi, _EDGE_SAMPLES)
-    ys = [handle.eval(sys, float(s))[1] for s in ss]
+    ss, pts = _edge_samples(sys, handle, handle.s_lo, handle.s_hi)
+    ys = [p[1] for p in pts]
 
     def refine(idx: int, pick) -> float:
         lo = float(ss[max(idx - 1, 0)])
         hi = float(ss[min(idx + 1, _EDGE_SAMPLES - 1)])
-        sub = [handle.eval(sys, float(s))[1] for s in _lobatto(lo, hi, _EDGE_SAMPLES)]
-        return pick(sub)
+        return pick(p[1] for p in _edge_samples(sys, handle, lo, hi)[1])
 
     return (
         min(min(ys), refine(int(np.argmin(ys)), min)),
@@ -424,7 +430,7 @@ def max_edge_slope(sys: ModelSystem, box: Box) -> float:
     for handle in (box.top, box.bottom):
         if handle.level_y(sys) is not None:
             continue
-        pts = [handle.eval(sys, float(s)) for s in _lobatto(handle.s_lo, handle.s_hi, _EDGE_SAMPLES)]
+        _, pts = _edge_samples(sys, handle, handle.s_lo, handle.s_hi)
         for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
             if x1 == x0:
                 if y1 != y0:
@@ -522,10 +528,6 @@ class CascadeResult:
     violations: tuple[str, ...]
 
 
-def _empty_result(n: int) -> CascadeResult:
-    return CascadeResult(n, (), (), (), (), (), 0, ())
-
-
 _MAX_DEPTH = 32
 _ARC_SAMPLES = 33
 _ARC_MAX_REFINE = 4
@@ -535,9 +537,9 @@ def run_cascade(sys: ModelSystem, n: int) -> CascadeResult:
     """Full cascade at level n.
 
     Gated twice: the sign case must be adaptable with the fold on the
-    standard (positive-abscissa, mu > 0) side, and the small-expansion
-    requirements must hold; when the expansion is too strong the result is
-    the empty cascade (k0 = 0) rather than an error.
+    standard (positive-abscissa, mu > 0) side, and the expansion and
+    recurrence gates of ``validate`` must hold; when either fails the result
+    is the empty cascade (k0 = 0) rather than an error.
     """
     case, adapt = classify_system(sys)
     if not adapt.adaptable:
@@ -546,12 +548,8 @@ def run_cascade(sys: ModelSystem, n: int) -> CascadeResult:
         raise WrongQuadrantError(
             f"case {case.label} needs the mirrored rectangle; only the standard side is supported"
         )
-    eps = sys.epsilon
-    if not _small_expansion(sys):
-        return _empty_result(n)
-    _, tau1 = tau_bounds(sys)
-    if tau1 * eps >= 1.0:
-        return _empty_result(n)
+    if not (_small_expansion(sys) and _short_recurrence(sys, tau_bounds(sys)[1])):
+        return CascadeResult(n, (), (), (), (), (), 0, ())
 
     sn = build_sn(sys, n)
     boxes = [build_b1(sys, sn)]
@@ -569,7 +567,7 @@ def run_cascade(sys: ModelSystem, n: int) -> CascadeResult:
     heights = tuple(m[1] for m in metrics)
     dists = tuple(m[2] for m in metrics)
     violations: list[str] = []
-    slope_bound = eps**2.5
+    slope_bound = sys.epsilon**2.5
     for b in boxes:
         slope = max_edge_slope(sys, b)
         if slope > slope_bound:

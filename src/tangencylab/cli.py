@@ -45,7 +45,7 @@ from .moduli import (
 )
 from .rects import first_valid_n, fold_rectangles, level_range, scaling_fit
 from .reference import make_system
-from .returns import find_s_n0, slope_grid
+from .returns import _S_GRID, find_s_n0, slope_grid
 
 COMMANDS = (
     "validate",
@@ -200,7 +200,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     eps_grid = _as_float_list(raw.get("eps_grid", [0.02]), "eps_grid")
     if any(not 0.0 < e < 1.0 for e in eps_grid):
         raise ConfigError("every eps in eps_grid must lie in (0, 1)")
-    s_grid = _as_float_list(raw.get("s_grid", [0.2, 0.1, 0.05, 0.02, 0.01]), "s_grid")
+    s_grid = _as_float_list(raw.get("s_grid", list(_S_GRID)), "s_grid")
     if any(s <= 0.0 for s in s_grid):
         raise ConfigError("every s in s_grid must be positive")
 
@@ -272,13 +272,12 @@ def _jsonable(v):
 
 @dataclass(frozen=True)
 class Series:
-    """One polyline of a plot; ``slope_label`` overrides the default
-    annotation fitted in the plot's own (possibly log) coordinates."""
+    """One polyline of a plot; ``slope_label`` is its slope annotation in the legend."""
 
     label: str
     xs: tuple[float, ...]
     ys: tuple[float, ...]
-    slope_label: str | None = None
+    slope_label: str
 
 
 @dataclass(frozen=True)
@@ -286,7 +285,6 @@ class Axes:
     x_label: str
     y_label: str
     title: str = ""
-    x_log: bool = False
     y_log: bool = True
 
 
@@ -304,9 +302,9 @@ def _axis_ticks(lo: float, hi: float, log_scale: bool) -> list[tuple[float, str]
 
 
 def emit_svg(series, axes: Axes, path: str | Path) -> Path:
-    """Write a standalone SVG with one polyline per series and a fitted-slope
-    annotation in the legend.  Every series needs at least two points, and
-    log-scaled coordinates must be positive."""
+    """Write a standalone SVG with one polyline per series and its slope
+    annotation in the legend, on a linear x axis.  Every series needs at
+    least two points, and log-scaled ordinates must be positive."""
     series = list(series)
     if not series:
         raise DomainError("nothing to plot: no series given")
@@ -314,13 +312,10 @@ def emit_svg(series, axes: Axes, path: str | Path) -> Path:
     for s in series:
         if len(s.xs) != len(s.ys) or len(s.xs) < 2:
             raise DomainError(f"series {s.label!r} needs at least two (x, y) points")
-        xs = np.asarray(s.xs, dtype=float)
         ys = np.asarray(s.ys, dtype=float)
-        if axes.x_log and (xs <= 0.0).any():
-            raise DomainError(f"series {s.label!r} has nonpositive x on a log axis")
         if axes.y_log and (ys <= 0.0).any():
             raise DomainError(f"series {s.label!r} has nonpositive y on a log axis")
-        us.append(np.log10(xs) if axes.x_log else xs)
+        us.append(np.asarray(s.xs, dtype=float))
         vs.append(np.log10(ys) if axes.y_log else ys)
 
     u0 = min(float(u.min()) for u in us)
@@ -347,7 +342,7 @@ def emit_svg(series, axes: Axes, path: str | Path) -> Path:
     ]
     if axes.title:
         parts.append(f'<text x="{width / 2:.1f}" y="22" text-anchor="middle" font-size="14">{axes.title}</text>')
-    for u, label in _axis_ticks(u0 + pad_u, u1 - pad_u, axes.x_log):
+    for u, label in _axis_ticks(u0 + pad_u, u1 - pad_u, False):
         x = px(u)
         parts.append(f'<line x1="{x:.2f}" y1="{mt}" x2="{x:.2f}" y2="{height - mb}" stroke="#dddddd"/>')
         parts.append(f'<text x="{x:.2f}" y="{height - mb + 16}" text-anchor="middle">{label}</text>')
@@ -365,13 +360,9 @@ def emit_svg(series, axes: Axes, path: str | Path) -> Path:
         color = _PALETTE[idx % len(_PALETTE)]
         pts = " ".join(f"{px(float(u)):.2f},{py(float(v)):.2f}" for u, v in zip(us[idx], vs[idx]))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
-        if s.slope_label is not None:
-            slope_text = s.slope_label
-        else:
-            slope_text = f"{float(np.polyfit(us[idx], vs[idx], 1)[0]):.3g}"
         ly = mt + 16 + 16 * idx
         parts.append(f'<line x1="{width - mr - 208}" y1="{ly - 4}" x2="{width - mr - 186}" y2="{ly - 4}" stroke="{color}" stroke-width="3"/>')
-        parts.append(f'<text x="{width - mr - 180}" y="{ly}">{s.label} (slope {slope_text})</text>')
+        parts.append(f'<text x="{width - mr - 180}" y="{ly}">{s.label} (slope {s.slope_label})</text>')
 
     parts.append("</svg>")
     out = Path(path)

@@ -52,7 +52,6 @@ __all__ = [
     "tau_bounds",
     "validate",
     "return_rectangle",
-    "return_rectangle_minus",
     "signed_power",
 ]
 
@@ -202,15 +201,6 @@ def return_rectangle(epsilon: float) -> Rect:
         raise DomainError("epsilon must be positive")
     u = 1.0 + epsilon
     return Rect(u, u**3, 0.0, epsilon**3)
-
-
-def return_rectangle_minus(epsilon: float) -> Rect:
-    """The mirrored strip [ (1+eps)^-3, (1+eps)^-1 ] x [0, eps^3] used when
-    the case analysis places the returning strip on the other side of q."""
-    if epsilon <= 0.0:
-        raise DomainError("epsilon must be positive")
-    u = 1.0 + epsilon
-    return Rect(u**-3, u**-1, 0.0, epsilon**3)
 
 
 @dataclass(frozen=True)
@@ -420,10 +410,10 @@ class ConditionReport:
 
 _TAU_RESOLUTION = 256
 _TAU_BLOCK_ROWS = 16
-_TAU_CACHE: dict[tuple[ModelSystem, Rect | None], tuple[float, float]] = {}
+_TAU_CACHE: dict[ModelSystem, tuple[float, float]] = {}
 
 
-def tau_bounds(sys: ModelSystem, region: Rect | None = None) -> tuple[float, float]:
+def tau_bounds(sys: ModelSystem) -> tuple[float, float]:
     """Range of pr_x(phi) over the return rectangle, in units of eps^3.
 
     Returns (tau0, tau1) with tau0 * eps^3 <= pr_x(phi(R)) <= tau1 * eps^3.
@@ -433,17 +423,16 @@ def tau_bounds(sys: ModelSystem, region: Rect | None = None) -> tuple[float, flo
     The 256 x 256 grid is evaluated in blocks of 16 rows, each the same
     elementwise arithmetic on contiguous arrays as one meshgrid, so the
     extremes are the same doubles at a sixteenth of the temporaries.  The
-    pair is kept per (system, region) like ``rects.build_sn``'s S_n; a
-    failure is not stored and raises on every call.
+    pair is kept per system like ``rects.build_sn``'s S_n; a failure is not
+    stored and raises on every call.
     """
-    key = (sys, region)
-    bounds = _TAU_CACHE.get(key)
+    bounds = _TAU_CACHE.get(sys)
     if bounds is not None:
         return bounds
     eps = sys.epsilon
     if eps <= 0.0:
         raise DomainError("tau bounds need |mu| > 1")
-    rect = region if region is not None else return_rectangle(eps)
+    rect = return_rectangle(eps)
     for corner in rect.corners():
         if not sys.in_uq(corner):
             raise ChartExitError(f"return rectangle corner {corner} leaves U(q)")
@@ -465,13 +454,18 @@ def tau_bounds(sys: ModelSystem, region: Rect | None = None) -> tuple[float, flo
     if hi < 0.0:
         lo, hi = -hi, -lo  # strip on the Q2 side, report magnitudes
     scale = eps**3
-    bounds = _TAU_CACHE[key] = (lo / scale, hi / scale)
+    bounds = _TAU_CACHE[sys] = (lo / scale, hi / scale)
     return bounds
 
 
 def _small_expansion(sys: ModelSystem) -> bool:
     """|mu|^(3/2) < 1/|lam|, the expansion bound of the slope estimates and the cascade."""
     return abs(sys.mu) ** 1.5 < 1.0 / abs(sys.lam)
+
+
+def _short_recurrence(sys: ModelSystem, tau1: float) -> bool:
+    """tau1 < 1/eps for the upper tau bound, the recurrence gate of ``validate`` and the cascade."""
+    return tau1 < 1.0 / sys.epsilon
 
 
 def validate(sys: ModelSystem) -> ConditionReport:
@@ -502,7 +496,7 @@ def validate(sys: ModelSystem) -> ConditionReport:
             tau0, tau1 = tau_bounds(sys)
             rep.add(
                 "tau_upper",
-                tau1 < 1.0 / eps,
+                _short_recurrence(sys, tau1),
                 f"tau0={tau0:.6g} tau1={tau1:.6g} bound={1.0 / eps:.6g}",
                 f"corner approximations: c={t.c:g}, a+27c={t.a + 27.0 * t.c:g}",
             )

@@ -254,12 +254,12 @@ def level_range(sys: ModelSystem, lo: int, hi: int) -> range:
 
 def fold_rectangles(sys: ModelSystem, lo: int, hi: int) -> Iterator[SnRectangle]:
     """S_n for each level of ``level_range(sys, lo, hi)`` whose fold
-    rectangle is fully realized inside the arc window; levels whose
-    tangencies or caps do not fit are skipped."""
+    rectangle is fully realized inside the arc window; levels with no real
+    tangency pair, or whose tangencies or caps do not fit, are skipped."""
     for n in level_range(sys, lo, hi):
         try:
             S = build_sn(sys, n)
-        except WindowExceededError:
+        except (WindowExceededError, NoVerticalTangencyError):
             continue
         yield S
 

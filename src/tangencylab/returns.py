@@ -34,7 +34,6 @@ from .model import (
     _MEMBERSHIP_TOL,
     ModelSystem,
     Point,
-    Rect,
     TransitionSpec,
     _flips_sign,
     _phi_jacobian,
@@ -100,7 +99,7 @@ def window_exponent(sys: ModelSystem, x: float) -> int:
     raise NotFoundError(f"no iterate places {x:g} inside the window ({lo:g}, {hi:g}]")
 
 
-def u0(sys: ModelSystem, point: Point, *, region: Rect | None = None) -> int:
+def u0(sys: ModelSystem, point: Point) -> int:
     """Return exponent of a point of U(q): the k with f^k(phi(point)) back in
     the return rectangle, its abscissa inside the unique one-step window.
 
@@ -110,10 +109,23 @@ def u0(sys: ModelSystem, point: Point, *, region: Rect | None = None) -> int:
     SmallExpandingViolationError when the windowed iterate misses the
     rectangle itself.
     """
-    return _u0_image(sys, point, region)[0]
+    return _u0_image(sys, point)[0]
 
 
-def _u0_image(sys: ModelSystem, point: Point, region: Rect | None = None) -> tuple[int, Point]:
+def _land(sys: ModelSystem, point: Point, k: int, orbit: str, image_name: str) -> Point:
+    """f^k(point), checked to stay in U(p) for k steps and then to land in R_eps."""
+    exit_i = chart_exit_index(sys, point, k)
+    if exit_i is not None:
+        raise ChartExitError(f"{orbit} leaves U(p) at step {exit_i} of {k}")
+    image = apply_linear(sys, point, k)
+    if not return_rectangle(sys.epsilon).contains(image):
+        raise SmallExpandingViolationError(
+            f"{image_name} ({image[0]:.6g}, {image[1]:.6g}) misses the return rectangle"
+        )
+    return image
+
+
+def _u0_image(sys: ModelSystem, point: Point) -> tuple[int, Point]:
     """(u0, f^u0(phi(point))): the return exponent of ``u0`` together with
     the returned point it was checked on."""
     z = apply_phi(sys, point)
@@ -122,16 +134,7 @@ def _u0_image(sys: ModelSystem, point: Point, region: Rect | None = None) -> tup
             f"phi image abscissa {z[0]:g} <= 0: the orbit returns through the mirrored rectangle"
         )
     k = window_exponent(sys, z[0])
-    exit_i = chart_exit_index(sys, z, k)
-    if exit_i is not None:
-        raise ChartExitError(f"connecting orbit leaves U(p) at step {exit_i} of {k}")
-    target = region if region is not None else return_rectangle(sys.epsilon)
-    image = apply_linear(sys, z, k)
-    if not target.contains(image):
-        raise SmallExpandingViolationError(
-            f"f^{k}(phi(point)) = ({image[0]:.6g}, {image[1]:.6g}) misses the return rectangle"
-        )
-    return k, image
+    return k, _land(sys, z, k, "connecting orbit", f"f^{k}(phi(point)) =")
 
 
 def _rescale_slope(sys: ModelSystem, slope: float, k: int) -> float:
@@ -397,16 +400,8 @@ def i_n(sys: ModelSystem, n: int) -> int:
             "fold rectangle sits at nonpositive abscissas: returns happen through the mirrored rectangle"
         )
     k = window_exponent(sys, S.rect.x_hi)
-    target = return_rectangle(sys.epsilon)
     for corner in S.rect.corners():
-        exit_i = chart_exit_index(sys, corner, k)
-        if exit_i is not None:
-            raise ChartExitError(f"corner orbit leaves U(p) at step {exit_i} of {k}")
-        image = apply_linear(sys, corner, k)
-        if not target.contains(image):
-            raise SmallExpandingViolationError(
-                f"f^{k}(S_{n}) corner ({image[0]:.6g}, {image[1]:.6g}) misses the return rectangle"
-            )
+        _land(sys, corner, k, "corner orbit", f"f^{k}(S_{n}) corner")
     balance = abs(_scale_power(signed_power(sys.lam, n), sys.mu, k))
     if not 0.1 <= balance <= 10.0:
         raise SmallExpandingViolationError(
@@ -495,19 +490,19 @@ class JnSlopeReport:
 
 
 _JN_SAMPLES = 200
+# The abscissa caps find_s_n0 tries by default, largest first, and a config's default s_grid.
+_S_GRID = (0.2, 0.1, 0.05, 0.02, 0.01)
 
 
-def jn_slope_check(sys: ModelSystem, n: int, s: float, *, eps_target: float | None = None) -> JnSlopeReport:
+def jn_slope_check(sys: ModelSystem, n: int, s: float) -> JnSlopeReport:
     """Sample the returned branch and test |dy/dx| <= eps^(5/2) pointwise.
 
     Samples whose fold point lies inside S_n (the hook, where the tangent
-    turns vertical) are excluded from the statistic but counted.  A target
-    epsilon only rescales the threshold; the geometry stays at the system
-    epsilon.
+    turns vertical) are excluded from the statistic but counted.
     """
-    eps = sys.epsilon if eps_target is None else float(eps_target)
+    eps = sys.epsilon
     if eps <= 0.0:
-        raise DomainError("eps_target must be positive")
+        raise DomainError("slope checks need |mu| > 1")
     threshold = eps**2.5
     beta = beta_arc(sys, n, s)
     max_slope = 0.0
@@ -544,12 +539,7 @@ class SlopeSearchResult:
     reports: tuple[JnSlopeReport, ...]
 
 
-def find_s_n0(
-    sys: ModelSystem,
-    s_grid: tuple[float, ...] = (0.2, 0.1, 0.05, 0.02, 0.01),
-    *,
-    eps_target: float | None = None,
-) -> SlopeSearchResult:
+def find_s_n0(sys: ModelSystem, s_grid: tuple[float, ...] = _S_GRID) -> SlopeSearchResult:
     """Largest grid cap s whose branch passes the slope check on the first
     three realizable levels.
 
@@ -570,7 +560,7 @@ def find_s_n0(
         reports = []
         try:
             for n in levels:
-                report = jn_slope_check(sys, n, s, eps_target=eps_target)
+                report = jn_slope_check(sys, n, s)
                 if not report.passed:
                     break
                 reports.append(report)

@@ -252,7 +252,7 @@ def _tau_bounds_one_grid(sys):
 
 
 def _tau_bounds_uncached(sys):
-    model._TAU_CACHE.pop((sys, None), None)
+    model._TAU_CACHE.pop(sys, None)
     try:
         return tl.tau_bounds(sys)
     except tl.WrongQuadrantError:
@@ -296,7 +296,7 @@ def test_tau_bounds_stored_per_system(ref):
 def test_tau_bounds_peak_memory():
     # one uncached call: 16-row blocks instead of 256 x 256 temporaries
     sys = tl.make_system(h1_terms=((0, 2, 0.7), (2, 1, -1.3)), h2_terms=((2, 0, 0.4),))
-    model._TAU_CACHE.pop((sys, None), None)
+    model._TAU_CACHE.pop(sys, None)
     tracemalloc.start()
     try:
         tl.tau_bounds(sys)

@@ -14,7 +14,6 @@ from tangencylab.returns import (
     _first_crossing,
     VERTICAL,
     beta_arc,
-    find_s_n0,
     i_n,
     jn_slope_check,
     slope_through_return,
@@ -51,6 +50,46 @@ def test_window_rejects_mirrored_return(ref):
     # a U(q) point whose transition image has negative abscissa
     with pytest.raises(tl.WrongQuadrantError):
         u0(ref, (1.0, -0.2))
+
+
+# The landing check of u0 and i_n, one system per error text: the orbit
+# leaves U(p) before its return exponent (a chart of half width 1 ends
+# inside the window), or f^k lands outside R_eps (ordinate lam^73 * 1 at
+# lam = 0.99; the S_6 corner at x_lo of lam = 0.5, mu = 1.05).
+_LANDING_ERRORS = {
+    "u0 chart exit": (
+        {"chart_half_width": 1.0},
+        lambda sys: u0(sys, (1.0, 0.25)),
+        tl.ChartExitError,
+        "connecting orbit leaves U(p) at step 71 of 73",
+    ),
+    "u0 miss": (
+        {"lam": 0.99},
+        lambda sys: u0(sys, (1.0, 0.25)),
+        tl.SmallExpandingViolationError,
+        "f^73(phi(point)) = (1.06109, 0.480141) misses the return rectangle",
+    ),
+    "i_n chart exit": (
+        {"chart_half_width": 1.0},
+        lambda sys: i_n(sys, 8),
+        tl.ChartExitError,
+        "corner orbit leaves U(p) at step 522 of 524",
+    ),
+    "i_n miss": (
+        {"lam": 0.5, "mu": 1.05},
+        lambda sys: i_n(sys, 6),
+        tl.SmallExpandingViolationError,
+        "f^101(S_6) corner (1.04202, 3.54174e-31) misses the return rectangle",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _LANDING_ERRORS)
+def test_landing_error_texts(case):
+    changes, call, error, text = _LANDING_ERRORS[case]
+    with pytest.raises(error) as info:
+        call(tl.make_system(**changes))
+    assert str(info.value) == text
 
 
 def test_fold_rectangle_exponent(ref):
@@ -115,12 +154,6 @@ def test_slope_search_result(slope_search):
     for rep in slope_search.reports:
         assert rep.passed
         assert rep.samples >= 200
-
-
-def test_slope_search_threshold_scaling(ref, slope_search):
-    # doubling the target threshold can only keep or lower the first level
-    relaxed = find_s_n0(ref, eps_target=2.0 * ref.epsilon)
-    assert relaxed.n0 <= slope_search.n0
 
 
 def _first_crossing_scalar(sys, n, target, t_from, t_to):
