@@ -46,7 +46,7 @@ from .model import (
 )
 from .numerics import _bisect, _NoSignChange
 from .rects import SnRectangle, build_sn, fold_point
-from .returns import i_n, window_exponent
+from .returns import _slope_cone, i_n, window_exponent
 
 __all__ = [
     "MapWord",
@@ -167,12 +167,15 @@ def _lobatto(lo: float, hi: float, count: int) -> np.ndarray:
     return lo + (hi - lo) * 0.5 * (1.0 - np.cos(np.pi * js / (count - 1)))
 
 
-# Lobatto sample counts of the monotonicity check, edge scans, box fibers
-# and the vertical-escape check of a next box.
-_MONOTONE_SAMPLES = 33
-_EDGE_SAMPLES = 65
-_FIBER_SAMPLES = 33
-_ESCAPE_SAMPLES = 33
+# Lobatto count of every cascade sampler: the monotonicity check, the box
+# fibers, the vertical-escape check and the crossing arcs.  The edge scans
+# take 2 * _SAMPLES - 1 points, whose even half is the _SAMPLES-point set.
+_SAMPLES = 33
+
+
+def _around(ss: np.ndarray, idx: int) -> tuple[float, float]:
+    """The samples either side of ss[idx], clamped to the ends: the span a refinement re-samples."""
+    return float(ss[max(idx - 1, 0)]), float(ss[min(idx + 1, len(ss) - 1)])
 
 
 def _x_monotone(xs: list[float]) -> bool:
@@ -211,9 +214,7 @@ class Box:
         return self.top.word
 
     def vertices(self, sys: ModelSystem) -> list[Point]:
-        t0, t1 = self.top.endpoints(sys)
-        b0, b1 = self.bottom.endpoints(sys)
-        return [t0, t1, b0, b1]
+        return [*self.top.endpoints(sys), *self.bottom.endpoints(sys)]
 
 
 def build_b1(sys: ModelSystem, sn: SnRectangle) -> Box:
@@ -237,8 +238,8 @@ def build_b1(sys: ModelSystem, sn: SnRectangle) -> Box:
 
 
 def _edge_samples(sys: ModelSystem, handle: CurveHandle, lo: float, hi: float) -> tuple[np.ndarray, list[Point]]:
-    """The _EDGE_SAMPLES Lobatto parameters of [lo, hi] and the handle's images there."""
-    ss = _lobatto(lo, hi, _EDGE_SAMPLES)
+    """The 2 * _SAMPLES - 1 Lobatto parameters of [lo, hi] and the handle's images there."""
+    ss = _lobatto(lo, hi, 2 * _SAMPLES - 1)
     return ss, [handle.eval(sys, float(s)) for s in ss]
 
 
@@ -251,9 +252,7 @@ def _edge_extreme_ys(sys: ModelSystem, handle: CurveHandle) -> tuple[float, floa
     ys = [p[1] for p in pts]
 
     def refine(idx: int, pick) -> float:
-        lo = float(ss[max(idx - 1, 0)])
-        hi = float(ss[min(idx + 1, _EDGE_SAMPLES - 1)])
-        return pick(p[1] for p in _edge_samples(sys, handle, lo, hi)[1])
+        return pick(p[1] for p in _edge_samples(sys, handle, *_around(ss, idx))[1])
 
     return (
         min(min(ys), refine(int(np.argmin(ys)), min)),
@@ -398,15 +397,13 @@ def _fiber_metrics(sys: ModelSystem, box: Box) -> tuple[float, float]:
             fibers[x] = (0.0, 0.0) if settled else _fiber(*(h.eval(sys, h.invert_x(sys, x))[1] for h in edges))
         return [fibers[float(x)] for x in xs]
 
-    xs = _lobatto(box.x_lo + inset, box.x_hi - inset, _FIBER_SAMPLES)
+    xs = _lobatto(box.x_lo + inset, box.x_hi - inset, _SAMPLES)
     data = sample(xs)
 
     def refined(select) -> float:
         values = [select(d) for d in data]
-        idx = int(np.argmax(values))
-        lo = float(xs[max(idx - 1, 0)])
-        hi = float(xs[min(idx + 1, _FIBER_SAMPLES - 1)])
-        sub = [select(d) for d in sample(_lobatto(lo, hi, _FIBER_SAMPLES))]
+        span = _around(xs, int(np.argmax(values)))
+        sub = [select(d) for d in sample(_lobatto(*span, _SAMPLES))]
         return max(max(values), max(sub))
 
     return refined(lambda d: d[0]), refined(lambda d: d[1])
@@ -470,7 +467,7 @@ def cascade_step(sys: ModelSystem, box: Box) -> tuple[Box, int, Box]:
 
     cuts = [handle.extended_word(("phi",)) for handle in (box.top, box.bottom)]
     for handle in cuts:
-        edge_xs = [handle.eval(sys, float(s))[0] for s in _lobatto(handle.s_lo, handle.s_hi, _MONOTONE_SAMPLES)]
+        edge_xs = [handle.eval(sys, float(s))[0] for s in _lobatto(handle.s_lo, handle.s_hi, _SAMPLES)]
         if edge_xs[-1] - edge_xs[0] == 0.0:
             raise NumericError("edge image collapsed to a single abscissa")
         if not _x_monotone(edge_xs):
@@ -505,7 +502,7 @@ def cascade_step(sys: ModelSystem, box: Box) -> tuple[Box, int, Box]:
             f"[{target.x_lo:.6g}, {target.x_hi:.6g}] (u_{box.k}={u})"
         )
     for handle in (nxt.top, nxt.bottom):
-        for s in _lobatto(handle.s_lo, handle.s_hi, _ESCAPE_SAMPLES):
+        for s in _lobatto(handle.s_lo, handle.s_hi, _SAMPLES):
             y = handle.eval(sys, float(s))[1]
             if y < target.y_lo - tol or y > target.y_hi + tol:
                 raise CascadeEnd(f"B_{nxt.k} escapes R_eps vertically (y={y:.6g}, u_{box.k}={u})")
@@ -529,7 +526,6 @@ class CascadeResult:
 
 
 _MAX_DEPTH = 32
-_ARC_SAMPLES = 33
 _ARC_MAX_REFINE = 4
 
 
@@ -562,12 +558,9 @@ def run_cascade(sys: ModelSystem, n: int) -> CascadeResult:
         exponents.append(u)
         boxes.append(nxt)
 
-    metrics = [box_metrics(sys, b) for b in boxes]
-    widths = tuple(m[0] for m in metrics)
-    heights = tuple(m[1] for m in metrics)
-    dists = tuple(m[2] for m in metrics)
+    widths, heights, dists = zip(*(box_metrics(sys, b) for b in boxes))
     violations: list[str] = []
-    slope_bound = sys.epsilon**2.5
+    slope_bound = _slope_cone(sys)[0]
     for b in boxes:
         slope = max_edge_slope(sys, b)
         if slope > slope_bound:
@@ -619,7 +612,7 @@ def count_crossing_arcs(sys: ModelSystem, n: int, box: Box) -> int:
         """Samples of the tracked branch, recursively split until every
         piece reads as x-monotone (the geometry guarantees it; sampling can
         alias near the fold)."""
-        ts = _lobatto(t0, t1, _ARC_SAMPLES)
+        ts = _lobatto(t0, t1, _SAMPLES)
         pts = [word.apply(sys, fold_point(sys, n, float(t))) for t in ts]
         if _x_monotone([p[0] for p in pts]):
             return pts

@@ -26,6 +26,7 @@ from .errors import (
     ConfigError,
     DomainError,
     InconclusiveError,
+    SmallExpandingViolationError,
     TangencyLabError,
     WindowExceededError,
 )
@@ -45,7 +46,7 @@ from .moduli import (
 )
 from .rects import first_valid_n, fold_rectangles, level_range, scaling_fit
 from .reference import make_system
-from .returns import _S_GRID, find_s_n0, slope_grid
+from .returns import _S_GRID, _slope_cone, find_s_n0, slope_grid
 
 COMMANDS = (
     "validate",
@@ -475,14 +476,14 @@ def cmd_rects(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[dict]]:
 def cmd_slopes(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[dict]]:
     sys = cfg.system
     grid = slope_grid(sys)
-    eps = sys.epsilon
+    cone, bound = _slope_cone(sys)
     results = {
         "grid": list(grid.shape),
         "violations": grid.violations,
         "max_intermediate_slope": grid.max_intermediate,
-        "intermediate_bound": eps**-2.5,
+        "intermediate_bound": bound,
         "max_returned_slope": grid.max_returned,
-        "returned_bound": eps**2.5,
+        "returned_bound": cone,
     }
     shape = "x".join(map(str, grid.shape))
     assertions = [_assertion("slope_grid", grid.violations == 0, f"{grid.violations} violations on {shape} grid")]
@@ -517,8 +518,8 @@ def cmd_cascade(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[dict]]:
         for n in level_range(sys_e, *cfg.n_range):
             try:
                 res = run_cascade(sys_e, n)
-            except WindowExceededError:
-                continue
+            except (WindowExceededError, SmallExpandingViolationError):
+                continue  # no B_1 at this level: S_n leaves the window or cannot return
             if res.k0 == 0:
                 rows.append((eps, n, 0, "", "", "", "", ""))
                 break  # the gate is n-independent, this eps is hopeless
@@ -526,25 +527,10 @@ def cmd_cascade(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[dict]]:
                 arcs = [count_crossing_arcs(sys_e, n, box) for box in res.boxes]
             except InconclusiveError:
                 arcs = None
-            for k, box in enumerate(res.boxes):
-                rows.append(
-                    (
-                        eps,
-                        n,
-                        k + 1,
-                        res.widths[k],
-                        res.heights[k],
-                        res.dists[k],
-                        res.u_exponents[k] if k < len(res.u_exponents) else "",
-                        arcs[k] if arcs is not None else "",
-                    )
-                )
-            good = (
-                res.k0 >= 2
-                and not res.violations
-                and arcs is not None
-                and all(a == 3 for a in arcs)
-            )
+            for k in range(res.k0):
+                u = res.u_exponents[k] if k < len(res.u_exponents) else ""
+                rows.append((eps, n, k + 1, res.widths[k], res.heights[k], res.dists[k], u, arcs[k] if arcs is not None else ""))
+            good = res.k0 >= 2 and not res.violations and arcs is not None and all(a == 3 for a in arcs)
             if good and found is None:
                 found = {
                     "eps": eps,

@@ -21,7 +21,8 @@ the conjugacy moduli) is built from the three primitives in this module:
 ``apply_linear``, ``apply_phi``, ``jacobian_phi``.  The array screens of
 ``returns`` and ``cascade`` take the model's rules from here, each with its own
 margin: saturation at ``_LOG_MIN``/``_LOG_MAX``, sign parity (``_flips_sign``),
-``_scale_powers``, ``in_uq`` on arrays and the gate ``_small_expansion``.
+``_scale_powers``, ``in_uq`` on arrays, U(p)'s ``_chart_reach``, the log
+estimate ``_log_steps`` and the gate ``_small_expansion``.
 """
 
 from __future__ import annotations
@@ -241,8 +242,13 @@ class ModelSystem:
         rectangle metrics lose too many digits to cancellation."""
         return int(math.floor(2.0 * math.log(1e-6) / math.log(abs(self.lam))))
 
+    @property
+    def _chart_reach(self) -> float:
+        """U(p)'s half width plus the membership slack: the bound of ``in_chart`` and the slope screen."""
+        return self.chart_half_width + _MEMBERSHIP_TOL
+
     def in_chart(self, point: Point) -> bool:
-        w = self.chart_half_width + _MEMBERSHIP_TOL
+        w = self._chart_reach
         return abs(point[0]) <= w and abs(point[1]) <= w
 
     def in_uq(self, point: Point, margin: float = 0.0) -> bool:
@@ -315,11 +321,17 @@ def _window_power(x: float, base: float, lo: float, hi: float, k_min: int) -> in
     membership tests use.  When hi / lo is |base| the window is one step
     wide and half open, and k is unique.
     """
-    est = math.floor((math.log(hi) - math.log(abs(x))) / math.log(abs(base)))
+    est = int(_log_steps(math.log(hi), math.log(abs(x)), math.log(abs(base))))
     for k in range(max(est - 4, k_min), max(est + 5, k_min + 5)):
         if lo < _scale_power(x, base, k) <= hi:
             return k
     return None
+
+
+def _log_steps(log_hi, log_v, log_base):
+    """floor((log hi - log|v|) / log|base|), on floats or arrays: the log estimate of
+    the steps of |base| that carry |v| up to hi, given the three logs."""
+    return np.floor((log_hi - log_v) / log_base)
 
 
 def chart_exit_index(sys: ModelSystem, point: Point, k: int) -> int | None:
@@ -329,9 +341,9 @@ def chart_exit_index(sys: ModelSystem, point: Point, k: int) -> int | None:
     Closed form: along the orbit |x_i| = |mu|^i |x| and |y_i| = |lam|^i |y|
     are monotone in i, so a coordinate whose base has modulus at most 1 can
     only leave at i = 1, and a coordinate v with |base| > 1 leaves at the
-    first i with |base|^i |v| > w = chart_half_width + _MEMBERSHIP_TOL,
+    first i with |base|^i |v| > w = ``sys._chart_reach``,
 
-        i = floor((log w - log|v|) / log|base|) + 1.
+        i = _log_steps(log w, log|v|, log|base|) + 1.
 
     The smaller estimate of the two coordinates is settled by ``in_chart``
     on f^(i-1) and f^i, stepping while either disagrees, so a tie at w is
@@ -343,11 +355,11 @@ def chart_exit_index(sys: ModelSystem, point: Point, k: int) -> int | None:
         return None
     if not sys.in_chart(apply_linear(sys, point, 1)):
         return 1
-    w = sys.chart_half_width + _MEMBERSHIP_TOL
+    log_w = math.log(sys._chart_reach)
     i = k + 1
     for v, base in zip(point, (sys.mu, sys.lam)):
         if abs(base) > 1.0 and v != 0.0:
-            i = min(i, math.floor((math.log(w) - math.log(abs(v))) / math.log(abs(base))) + 1)
+            i = min(i, int(_log_steps(log_w, math.log(abs(v)), math.log(abs(base)))) + 1)
     i = max(i, 2)
     while i > 2 and not sys.in_chart(apply_linear(sys, point, i - 1)):
         i -= 1

@@ -36,6 +36,7 @@ from .model import (
     Point,
     TransitionSpec,
     _flips_sign,
+    _log_steps,
     _phi_jacobian,
     _phi_parts,
     _saturated_exp,
@@ -87,12 +88,25 @@ class SlopedPoint:
             raise DomainError(f"slope must be a nonnegative number, got {self.slope}")
 
 
+def _return_window(sys: ModelSystem) -> tuple[float, float]:
+    """(lo, hi) of the one-step return window ((1+eps)^2, (1+eps)^3]."""
+    u = 1.0 + sys.epsilon
+    return u * u, u * u * u
+
+
+def _slope_cone(sys: ModelSystem) -> tuple[float, float]:
+    """(eps^(5/2), eps^(-5/2)): the slope lemma's horizontal cone and its transit bound."""
+    eps = sys.epsilon
+    if eps <= 0.0:
+        raise DomainError("slope checks need |mu| > 1")
+    return eps**2.5, eps**-2.5
+
+
 def window_exponent(sys: ModelSystem, x: float) -> int:
     """The unique k >= 1 with mu^k * x in ((1+eps)^2, (1+eps)^3]."""
     if x == 0.0 or not math.isfinite(x):
         raise DomainError(f"cannot window x={x}")
-    u = 1.0 + sys.epsilon
-    lo, hi = u * u, u * u * u
+    lo, hi = _return_window(sys)
     k = _window_power(x, sys.mu, lo, hi, 1)
     if k is not None:
         return k
@@ -162,16 +176,15 @@ class ReturnFrame:
         vy = float(self.jac[1, 0] + self.jac[1, 1] * slope)
         intermediate = VERTICAL if vx == 0.0 else abs(vy / vx)
         returned = SlopedPoint(self.returned_point, _rescale_slope(sys, intermediate, self.k))
-        eps = sys.epsilon
-        if self.in_rectangle and slope <= eps**2.5:
-            bound = eps**-2.5
+        cone, bound = _slope_cone(sys)
+        if self.in_rectangle and slope <= cone:
             if not intermediate <= bound:
                 raise SlopeLemmaCounterexample(
                     "transit slope exceeds the fold bound", point=self.point, slope=intermediate, bound=bound
                 )
-            if not returned.slope <= eps**2.5:
+            if not returned.slope <= cone:
                 raise SlopeLemmaCounterexample(
-                    "returned slope left the horizontal cone", point=self.returned_point, slope=returned.slope, bound=eps**2.5
+                    "returned slope left the horizontal cone", point=self.returned_point, slope=returned.slope, bound=cone
                 )
         return intermediate, returned
 
@@ -274,33 +287,33 @@ def _screen(sys: ModelSystem) -> _Screen:
     """``return_frame(...).transport(...)`` on every grid cell at once.
 
     phi and its Jacobian come from the model's own formulas on arrays; the
-    window exponent is the log estimate of ``window_exponent``; the chart
-    exit, R_eps and slope-lemma tests compare logs with the logs of their
-    bounds, using that along f^i the abscissa grows and the ordinate shrinks
-    (or grows) monotonically.  The U(q) test compares the grid's own
-    doubles, so it is exact.  Every grid point lies in R_eps and every grid
-    slope is at most eps^(5/2), so every transport checks the lemma.
+    window exponent is ``window_exponent``'s log estimate ``_log_steps`` in
+    ``_return_window``; the chart exit, R_eps and slope-lemma tests compare
+    logs with the logs of their bounds, using that along f^i the abscissa
+    grows and the ordinate shrinks (or grows) monotonically.  The U(q) test
+    compares the grid's own doubles, so it is exact.  Every grid point lies
+    in R_eps and every grid slope is at most eps^(5/2), so every transport
+    checks the lemma.
     """
-    eps = sys.epsilon
+    cap, bound = _slope_cone(sys)
     tol = _MEMBERSHIP_TOL
-    rect = return_rectangle(eps)
-    cap = eps**2.5
+    rect = return_rectangle(sys.epsilon)
     slopes = (0.0, 0.5 * cap, cap)
     xs = np.linspace(rect.x_lo, rect.x_hi, _GRID_SIDE)
     ys = np.linspace(rect.y_lo, rect.y_hi, _GRID_SIDE)
     x, y = (a.ravel() for a in np.meshgrid(xs, ys, indexing="ij"))
     lx = x - 1.0
     log_mu, log_lam = math.log(abs(sys.mu)), math.log(abs(sys.lam))
-    u = 1.0 + eps
-    lo, hi = u * u, u * u * u
-    log_w = math.log(sys.chart_half_width + tol)
+    lo, hi = _return_window(sys)
+    log_w = math.log(sys._chart_reach)
     s = np.array(slopes)
     with np.errstate(all="ignore"):
         fx, fy, gx, gy = (np.broadcast_to(v, x.shape)[:, None] for row in _phi_jacobian(sys, lx, y) for v in row)
         zx, zy = _phi_parts(sys, lx, y)
         zx_scale = _phi_parts(_absolute(sys), np.abs(lx), np.abs(y))[0]
         log_zx = np.log(zx)
-        k = np.floor((math.log(hi) - log_zx) / log_mu)
+        k = _log_steps(math.log(hi), log_zx, log_mu)
+        k_returns = (k >= 1) & ~_flips_sign(sys.mu, k)  # k is inf where z_x = 0
         log_x = log_zx + k * log_mu
         log_zy = np.log(np.abs(zy))
         log_y = log_zy + k * log_lam
@@ -311,12 +324,11 @@ def _screen(sys: ModelSystem) -> _Screen:
     x_lo, x_hi = math.log(rect.x_lo - tol), math.log(rect.x_hi + tol)
     # R_eps starts at y = 0, so a negative ordinate may reach -tol
     y_lo, y_hi = math.log(tol), math.log(rect.y_hi + tol)
-    inter_bound, returned_bound = math.log(eps**-2.5), math.log(cap)
+    inter_bound, returned_bound = math.log(bound), math.log(cap)
     returns = (
         sys.in_uq((x, y))
         & (zx > 0.0)
-        & (k >= 1)
-        & ~_flips_sign(sys.mu, k)
+        & k_returns
         & (log_x <= log_w)
         & (log_y_chart <= log_w)
         & (x_lo <= log_x)
@@ -363,10 +375,9 @@ def slope_grid(sys: ModelSystem) -> SlopeGrid:
     maximum.  Every other cell is settled by the screen alone: its
     violations are counted, and its slopes are below a maximum that a
     scalar cell attains.  The result, and the first error in grid order,
-    are those of the scalar loop over all cells.
+    are those of the scalar loop over all cells.  The guard of ``_slope_cone``
+    raises before any work.
     """
-    if sys.epsilon <= 0.0:
-        raise DomainError("slope checks need |mu| > 1")
     sc = _screen(sys)
     certain = sc.returns & ~sc.near
     kept = certain[:, None] & ~sc.violates
@@ -500,10 +511,7 @@ def jn_slope_check(sys: ModelSystem, n: int, s: float) -> JnSlopeReport:
     Samples whose fold point lies inside S_n (the hook, where the tangent
     turns vertical) are excluded from the statistic but counted.
     """
-    eps = sys.epsilon
-    if eps <= 0.0:
-        raise DomainError("slope checks need |mu| > 1")
-    threshold = eps**2.5
+    threshold = _slope_cone(sys)[0]
     beta = beta_arc(sys, n, s)
     max_slope = 0.0
     excluded = 0

@@ -1,7 +1,10 @@
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tangencylab as tl
-from tangencylab.cascade import _FIBER_SAMPLES, _lobatto, box_metrics, build_b1, cascade_step, max_edge_slope
+from tangencylab.cascade import _SAMPLES, _lobatto, box_metrics, build_b1, cascade_step, max_edge_slope
 from tangencylab.numerics import _bisect
 
 
@@ -92,8 +95,12 @@ def test_cascade_refuses_wide_expansion():
 
 def test_box_metrics_evaluation_budget(ref, sn10, monkeypatch):
     # An operation count, so it holds on any hardware: the 33 + 2 x 33 fibers
-    # of B_1 at level 10 need 5,270 edge evaluations with ITP inversions and
-    # each fiber computed once; plain bisection of every fiber took 17,498.
+    # of B_1 at level 10, inverted with its level closed form disabled (a B_1
+    # takes its metrics from level_y and evaluates nothing), need 2,201 edge
+    # evaluations with ITP inversions, each fiber computed once and each word
+    # applied once per base point of an inversion (5,270 without that memo);
+    # plain bisection of every fiber took 17,498.
+    monkeypatch.setattr(tl.CurveHandle, "level_y", lambda self, sys: None)
     calls = []
     original = tl.CurveHandle.eval
 
@@ -107,10 +114,26 @@ def test_box_metrics_evaluation_budget(ref, sn10, monkeypatch):
     assert len(calls) <= 5_400
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    lo=st.floats(-1e6, 1e6, allow_nan=False),
+    width=st.floats(0.0, 1e6, allow_nan=False),
+    count=st.integers(2, 129),
+)
+@example(lo=1.0213, width=0.0625, count=_SAMPLES)
+def test_lobatto_sets_nest_bit_for_bit(lo, width, count):
+    # One sample count serves every cascade sampler because the count-point
+    # set is the even half of the (2 count - 1)-point set, to the bit: the
+    # angles pi j / (count - 1) and pi 2j / (2 count - 2) are one quotient.
+    hi = lo + width
+    coarse, fine = _lobatto(lo, hi, count), _lobatto(lo, hi, 2 * count - 1)
+    assert coarse.view(np.int64).tolist() == fine[::2].view(np.int64).tolist()
+
+
 def _fiber_abscissas(box):
     # the 33 abscissas of _fiber_metrics' first pass
     inset = 1e-6 * max(box.x_hi - box.x_lo, 1e-300)
-    return [float(x) for x in _lobatto(box.x_lo + inset, box.x_hi - inset, _FIBER_SAMPLES)]
+    return [float(x) for x in _lobatto(box.x_lo + inset, box.x_hi - inset, _SAMPLES)]
 
 
 def test_invert_x_memo_is_exact(ref, sn10, cascade12):
@@ -127,9 +150,11 @@ def test_invert_x_memo_is_exact(ref, sn10, cascade12):
 
 def test_box_metrics_inversion_budget_with_base_point_memo(ref, sn10, monkeypatch):
     # The same 33 + 2 x 33 fibers of the level-10 B_1 as the 5,400 budget
-    # above, counted like the tracer's invert_x -> eval edge: applying each
-    # word once per base point of an inversion takes 2,009 evaluations over
-    # its 192 inversions (each fiber edge then evaluates its root once more).
+    # above, level closed form disabled, counted like the tracer's invert_x ->
+    # eval edge: applying each word once per base point of an inversion takes
+    # 2,009 evaluations over its 192 inversions (each fiber edge then
+    # evaluates its root once more); without the memo they take 5,078.
+    monkeypatch.setattr(tl.CurveHandle, "level_y", lambda self, sys: None)
     inside, calls = [], []
     original_eval, original_invert = tl.CurveHandle.eval, tl.CurveHandle.invert_x
 

@@ -215,6 +215,28 @@ def test_quartic_jet_all_run(tmp_path):
     assert rep["commands"]["slopes"]["results"]["levels"] == [5, 6, 7]
 
 
+def test_cascade_skips_levels_whose_b1_cannot_return(bench_workloads, tmp_path):
+    # Sweep seed 15, instance 0: at levels 8 and 9 a corner of f^i_n(S_n)
+    # misses R_eps ("f^407(S_8) corner (1.01021, 4.99691e-165) misses the
+    # return rectangle"), so those levels have no B_1.  cmd_cascade skips
+    # them as it skips levels whose S_n leaves the window, and finds its
+    # witness at level 18; only the tangency coefficient fails.
+    raw = json.loads(CONFIG.read_text())
+    instance = bench_workloads.sweep_instances(15)[0]
+    raw["system"]["seed_coeffs"] = [instance.pop("z0")] + raw["system"]["seed_coeffs"][1:]
+    raw["system"].update(instance)
+    out = tmp_path / "out"
+    code = run(_write(tmp_path, raw), "all", out_dir=str(out))
+    rep = json.loads((out / "report.json").read_text())
+    total = sum(len(sec["assertions"]) for sec in rep["commands"].values())
+    assert (code, total - len(rep["failed"]), total) == (1, 29, 30)
+    assert rep["failed"] == ["leaves:tangency_coefficient"]
+    witness = rep["commands"]["cascade"]["results"]["witness"]
+    assert (witness["n"], witness["k0"], witness["crossing_arcs"]) == (18, 2, [3, 3])
+    levels = [line.split(",")[1] for line in (out / "cascade.csv").read_text().splitlines()[1:]]
+    assert levels[0] == "10"
+
+
 def test_reference_run_work_counts(ref_config, tmp_path, monkeypatch):
     # One reference all run from empty caches: the fold polynomials leave
     # 1,386 fold_point calls (8,221 with 255 sampled curve points per S_n),

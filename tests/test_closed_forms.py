@@ -364,6 +364,52 @@ def test_screen_leaves_saturated_returns_to_scalars(ref, point, k):
         assert sc.near[31] == near, offset
 
 
+def _scalar_returns(sys, sc, cell):
+    try:
+        return_frame(sys, (float(sc.x[cell]), float(sc.y[cell])))
+    except tl.TangencyLabError:
+        return False
+    return True
+
+
+def test_screen_leaves_the_chart_edge_to_scalars(ref):
+    # No grid system has a returned abscissa near U(p)'s edge.  These charts
+    # put the reach chart_half_width + tol on the top-left cell's returned
+    # log-abscissa, half a margin either side of it and two margins either
+    # side: the cell goes to scalars exactly in the first three, where the
+    # scalar chart exit may go either way (on the edge itself the screen says
+    # the orbit leaves U(p) and the scalar return holds).
+    delta, cell = returns._SCREEN_DELTA, 31
+    log_x = _screen(ref).log_x[cell]
+    for offset, near in ((0.0, True), (-0.5, True), (0.5, True), (-2.0, False), (2.0, False)):
+        sys = replace(ref, chart_half_width=math.exp(log_x + offset * delta) - _MEMBERSHIP_TOL)
+        sc = _screen(sys)
+        assert abs(math.log(sys._chart_reach) - (log_x + offset * delta)) < 0.01 * delta
+        assert sc.near[cell] == near, offset
+        assert near or sc.returns[cell] == _scalar_returns(sys, sc, cell) == (offset > 0.0)
+
+
+def test_screen_leaves_a_vanishing_z_x_to_scalars(ref):
+    # The bottom-left cell (x = 1 + eps, y = 0) has z_x = c lx^3 + h lx^4 with
+    # an H1 term h x^4.  These h put z_x on 0, half a margin of the size of
+    # its terms either side and two margins either side.  The cell goes to
+    # scalars in all but the last: within the margin the screen cannot tell
+    # the sign of z_x, and below 0 its log is undefined.  Two margins above 0
+    # the screen decides the cell as the scalar return does.
+    delta, cell = returns._SCREEN_DELTA, 0
+    c = ref.transition.c
+    lx = tl.return_rectangle(ref.epsilon).x_lo - 1.0
+    for offset, near in ((0.0, True), (-0.5, True), (0.5, True), (-2.0, True), (2.0, False)):
+        margin = offset * delta
+        h = c * (margin - 1.0) / (lx * (1.0 + margin))  # z_x = margin * (|c| lx^3 + |h| lx^4)
+        sys = replace(ref, transition=replace(ref.transition, h1_terms=((4, 0, h),)))
+        sc = _screen(sys)
+        assert (sc.x[cell] - 1.0, sc.y[cell]) == (lx, 0.0)
+        assert abs(sc.zx[cell] - margin * sc.zx_scale[cell]) < 0.01 * delta * sc.zx_scale[cell]
+        assert sc.near[cell] == near, offset
+        assert near or sc.returns[cell] == _scalar_returns(sys, sc, cell)
+
+
 def _log(values):
     # natural logs by libm, as the scalar path takes them
     return np.array([math.log(v) for v in np.ravel(values)]).reshape(np.shape(values))
@@ -492,7 +538,7 @@ def test_b1_edges_are_x_monotone(cascade_runs):
     _, built = cascade_runs
     for label, sys, box in built:
         for handle in (box.top, box.bottom):
-            xs = [handle.eval(sys, float(s))[0] for s in _lobatto(handle.s_lo, handle.s_hi, cascade._MONOTONE_SAMPLES)]
+            xs = [handle.eval(sys, float(s))[0] for s in _lobatto(handle.s_lo, handle.s_hi, cascade._SAMPLES)]
             assert xs[-1] - xs[0] != 0.0 and cascade._x_monotone(xs), label
             assert (np.diff(xs) * np.sign(xs[-1] - xs[0]) > 0.0).all(), label
     assert len(built) > 500

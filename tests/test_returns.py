@@ -132,6 +132,16 @@ def test_jn_slope_check_frozen_level_10(ref):
     assert rep.threshold == pytest.approx(ref.epsilon**2.5, rel=1e-12)
 
 
+@pytest.mark.parametrize("mu", [1.0, 0.9, -1.0])
+def test_slope_checks_need_an_expanding_chart(mu):
+    # The slope cone eps^(5/2) needs eps = |mu| - 1 > 0; both slope checks
+    # refuse other charts before any work, with one text.
+    sys = tl.make_system(mu=mu)
+    for check in (lambda: tl.slope_grid(sys), lambda: jn_slope_check(sys, 10, 0.1)):
+        with pytest.raises(tl.DomainError, match=r"slope checks need \|mu\| > 1"):
+            check()
+
+
 def test_slope_grid_has_no_counterexamples(ref):
     # 8x8 corner of the acceptance grid: every start stays within both bounds
     target = tl.return_rectangle(ref.epsilon)
