@@ -98,6 +98,7 @@ class CurveHandle:
     word: MapWord = field(default_factory=MapWord)
     s_lo: float = 0.0
     s_hi: float = 1.0
+    _points: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not (0.0 <= self.s_lo < self.s_hi <= 1.0):
@@ -114,6 +115,14 @@ class CurveHandle:
             raise DomainError(f"s={s:g} outside handle range [{self.s_lo:g}, {self.s_hi:g}]")
         return self.word.apply(sys, self.base_point(s))
 
+    def _point(self, sys: ModelSystem, s: float) -> Point:
+        """``eval`` at s, kept on the handle per (system, s): the cascade's edge samplers read here."""
+        s = float(s)
+        point = self._points.get((sys, s))
+        if point is None:
+            point = self._points[sys, s] = self.eval(sys, s)
+        return point
+
     def level_y(self, sys: ModelSystem) -> float | None:
         """The one ordinate of a horizontal base segment under linear atoms
         only, taken from a base point as ``eval`` takes it; else None."""
@@ -122,11 +131,12 @@ class CurveHandle:
         return self.word.apply(sys, self.base_point(self.s_lo))[1]
 
     def endpoints(self, sys: ModelSystem) -> tuple[Point, Point]:
-        return self.eval(sys, self.s_lo), self.eval(sys, self.s_hi)
+        return self._point(sys, self.s_lo), self._point(sys, self.s_hi)
 
     def restricted(self, s_a: float, s_b: float) -> "CurveHandle":
+        """The handle on [s_a, s_b]; itself, with its points, when that is its own range."""
         lo, hi = (s_a, s_b) if s_a <= s_b else (s_b, s_a)
-        return CurveHandle(self.start, self.end, self.word, lo, hi)
+        return self if (lo, hi) == (self.s_lo, self.s_hi) else CurveHandle(self.start, self.end, self.word, lo, hi)
 
     def extended_word(self, *atoms: tuple) -> "CurveHandle":
         return CurveHandle(self.start, self.end, self.word.extended(*atoms), self.s_lo, self.s_hi)
@@ -237,27 +247,16 @@ def build_b1(sys: ModelSystem, sn: SnRectangle) -> Box:
     return Box("rectangle-like", xs[0], xs[1], top, bottom, delta, k=1)
 
 
-def _edge_samples(sys: ModelSystem, handle: CurveHandle, lo: float, hi: float) -> tuple[np.ndarray, list[Point]]:
-    """The 2 * _SAMPLES - 1 Lobatto parameters of [lo, hi] and the handle's images there."""
-    ss = _lobatto(lo, hi, 2 * _SAMPLES - 1)
-    return ss, [handle.eval(sys, float(s)) for s in ss]
+def _edge_samples(sys: ModelSystem, handle: CurveHandle, count: int = 2 * _SAMPLES - 1) -> list[Point]:
+    """The handle's images at ``count`` Lobatto parameters of its range (the default scan holds the _SAMPLES set)."""
+    return [handle._point(sys, s) for s in _lobatto(handle.s_lo, handle.s_hi, count)]
 
 
-def _edge_extreme_ys(sys: ModelSystem, handle: CurveHandle) -> tuple[float, float]:
-    """(min_y, max_y) over the handle, Lobatto-sampled with one refinement
-    pass around each extremum."""
+def _edge_ys(sys: ModelSystem, handle: CurveHandle) -> list[float]:
+    """The handle's one level ordinate, else the ordinates of the edge samples ``max_edge_slope`` reads."""
     if (y := handle.level_y(sys)) is not None:
-        return y, y
-    ss, pts = _edge_samples(sys, handle, handle.s_lo, handle.s_hi)
-    ys = [p[1] for p in pts]
-
-    def refine(idx: int, pick) -> float:
-        return pick(p[1] for p in _edge_samples(sys, handle, *_around(ss, idx))[1])
-
-    return (
-        min(min(ys), refine(int(np.argmin(ys)), min)),
-        max(max(ys), refine(int(np.argmax(ys)), max)),
-    )
+        return [y]
+    return [p[1] for p in _edge_samples(sys, handle)]
 
 
 # Curves with different parameterizations recover the abscissa of a fiber
@@ -427,7 +426,7 @@ def max_edge_slope(sys: ModelSystem, box: Box) -> float:
     for handle in (box.top, box.bottom):
         if handle.level_y(sys) is not None:
             continue
-        _, pts = _edge_samples(sys, handle, handle.s_lo, handle.s_hi)
+        pts = _edge_samples(sys, handle)
         for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
             if x1 == x0:
                 if y1 != y0:
@@ -467,7 +466,7 @@ def cascade_step(sys: ModelSystem, box: Box) -> tuple[Box, int, Box]:
 
     cuts = [handle.extended_word(("phi",)) for handle in (box.top, box.bottom)]
     for handle in cuts:
-        edge_xs = [handle.eval(sys, float(s))[0] for s in _lobatto(handle.s_lo, handle.s_hi, _SAMPLES)]
+        edge_xs = [p[0] for p in _edge_samples(sys, handle, _SAMPLES)]
         if edge_xs[-1] - edge_xs[0] == 0.0:
             raise NumericError("edge image collapsed to a single abscissa")
         if not _x_monotone(edge_xs):
@@ -503,7 +502,7 @@ def cascade_step(sys: ModelSystem, box: Box) -> tuple[Box, int, Box]:
         )
     for handle in (nxt.top, nxt.bottom):
         for s in _lobatto(handle.s_lo, handle.s_hi, _SAMPLES):
-            y = handle.eval(sys, float(s))[1]
+            y = handle._point(sys, s)[1]
             if y < target.y_lo - tol or y > target.y_hi + tol:
                 raise CascadeEnd(f"B_{nxt.k} escapes R_eps vertically (y={y:.6g}, u_{box.k}={u})")
     return cut, u, nxt
@@ -602,10 +601,8 @@ def count_crossing_arcs(sys: ModelSystem, n: int, box: Box) -> int:
     xa = box.x_lo + 0.01 * width
     xb = box.x_hi - 0.01 * width
 
-    top_lo, top_hi = _edge_extreme_ys(sys, box.top)
-    bot_lo, bot_hi = _edge_extreme_ys(sys, box.bottom)
-    band_lo = min(top_lo, bot_lo)
-    band_hi = max(top_hi, bot_hi)
+    ys = _edge_ys(sys, box.top) + _edge_ys(sys, box.bottom)
+    band_lo, band_hi = min(ys), max(ys)
     band_tol = max(1e-12, 10.0 * (band_hi - band_lo))
 
     def monotone_samples(t0: float, t1: float, depth: int) -> list[Point]:

@@ -28,7 +28,6 @@ from .errors import (
     InconclusiveError,
     SmallExpandingViolationError,
     TangencyLabError,
-    WindowExceededError,
 )
 from .leaves import tangency_order, tangency_samples, unstable_leaf_w
 from .model import ModelSystem, tau_bounds, validate
@@ -44,7 +43,7 @@ from .moduli import (
     rescale_pair,
     return_record,
 )
-from .rects import first_valid_n, fold_rectangles, level_range, scaling_fit
+from .rects import _UNREALIZED, first_valid_n, fold_rectangles, level_range, scaling_fit
 from .reference import make_system
 from .returns import _S_GRID, _slope_cone, find_s_n0, slope_grid
 
@@ -518,8 +517,8 @@ def cmd_cascade(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[dict]]:
         for n in level_range(sys_e, *cfg.n_range):
             try:
                 res = run_cascade(sys_e, n)
-            except (WindowExceededError, SmallExpandingViolationError):
-                continue  # no B_1 at this level: S_n leaves the window or cannot return
+            except (*_UNREALIZED, SmallExpandingViolationError):
+                continue  # no B_1 at this level: no S_n, or it cannot return
             if res.k0 == 0:
                 rows.append((eps, n, 0, "", "", "", "", ""))
                 break  # the gate is n-independent, this eps is hopeless

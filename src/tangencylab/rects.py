@@ -252,6 +252,10 @@ def level_range(sys: ModelSystem, lo: int, hi: int) -> range:
     return range(lo, min(hi, sys.n_max) + 1, 1 if parity == "all" else 2)
 
 
+# What build_sn raises at a level with no S_n: no real tangency pair, or tangencies or caps outside the arc window.
+_UNREALIZED = (WindowExceededError, NoVerticalTangencyError)
+
+
 def fold_rectangles(sys: ModelSystem, lo: int, hi: int) -> Iterator[SnRectangle]:
     """S_n for each level of ``level_range(sys, lo, hi)`` whose fold
     rectangle is fully realized inside the arc window; levels with no real
@@ -259,7 +263,7 @@ def fold_rectangles(sys: ModelSystem, lo: int, hi: int) -> Iterator[SnRectangle]
     for n in level_range(sys, lo, hi):
         try:
             S = build_sn(sys, n)
-        except (WindowExceededError, NoVerticalTangencyError):
+        except _UNREALIZED:
             continue
         yield S
 

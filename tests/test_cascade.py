@@ -98,8 +98,8 @@ def test_box_metrics_evaluation_budget(ref, sn10, monkeypatch):
     # of B_1 at level 10, inverted with its level closed form disabled (a B_1
     # takes its metrics from level_y and evaluates nothing), need 2,201 edge
     # evaluations with ITP inversions, each fiber computed once and each word
-    # applied once per base point of an inversion (5,270 without that memo);
-    # plain bisection of every fiber took 17,498.
+    # applied once per base point of an inversion.  The bound fails without
+    # that memo (5,270) and with plain bisection of every fiber (17,498).
     monkeypatch.setattr(tl.CurveHandle, "level_y", lambda self, sys: None)
     calls = []
     original = tl.CurveHandle.eval
@@ -111,7 +111,7 @@ def test_box_metrics_evaluation_budget(ref, sn10, monkeypatch):
     box = build_b1(ref, sn10)
     monkeypatch.setattr(tl.CurveHandle, "eval", counted)
     box_metrics(ref, box)
-    assert len(calls) <= 5_400
+    assert len(calls) <= 2_400
 
 
 @settings(max_examples=300, deadline=None)
@@ -149,7 +149,7 @@ def test_invert_x_memo_is_exact(ref, sn10, cascade12):
 
 
 def test_box_metrics_inversion_budget_with_base_point_memo(ref, sn10, monkeypatch):
-    # The same 33 + 2 x 33 fibers of the level-10 B_1 as the 5,400 budget
+    # The same 33 + 2 x 33 fibers of the level-10 B_1 as the 2,400 budget
     # above, level closed form disabled, counted like the tracer's invert_x ->
     # eval edge: applying each word once per base point of an inversion takes
     # 2,009 evaluations over its 192 inversions (each fiber edge then

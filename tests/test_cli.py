@@ -2,6 +2,7 @@ import json
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -215,6 +216,26 @@ def test_quartic_jet_all_run(tmp_path):
     assert rep["commands"]["slopes"]["results"]["levels"] == [5, 6, 7]
 
 
+def test_quartic_jet_from_level_1_all_run(tmp_path):
+    # The same jet over levels 1-18: level 1 has no real tangency pair, and
+    # cmd_cascade skips it as fold_rectangles does, instead of failing the
+    # whole command on its NoVerticalTangencyError.  The cascade's witness is
+    # level 12; rects' root ratio fails on the wider level range.
+    raw = json.loads(CONFIG.read_text())
+    raw["system"]["h1_terms"] = [[4, 0, 2.0]]
+    raw["n_range"] = [1, 18]
+    out = tmp_path / "out"
+    code = run(_write(tmp_path, raw), "all", out_dir=str(out))
+    rep = json.loads((out / "report.json").read_text())
+    total = sum(len(sec["assertions"]) for sec in rep["commands"].values())
+    assert (code, total - len(rep["failed"]), total) == (1, 27, 30)
+    assert rep["failed"] == ["leaves:tangency_coefficient", "rects:root_ratio", "moduli:probe_band"]
+    witness = rep["commands"]["cascade"]["results"]["witness"]
+    assert (witness["n"], witness["k0"], witness["crossing_arcs"]) == (12, 2, [3, 3])
+    levels = [line.split(",")[1] for line in (out / "cascade.csv").read_text().splitlines()[1:]]
+    assert levels[0] == "5"
+
+
 def test_cascade_skips_levels_whose_b1_cannot_return(bench_workloads, tmp_path):
     # Sweep seed 15, instance 0: at levels 8 and 9 a corner of f^i_n(S_n)
     # misses R_eps ("f^407(S_8) corner (1.01021, 4.99691e-165) misses the
@@ -240,13 +261,16 @@ def test_cascade_skips_levels_whose_b1_cannot_return(bench_workloads, tmp_path):
 def test_reference_run_work_counts(ref_config, tmp_path, monkeypatch):
     # One reference all run from empty caches: the fold polynomials leave
     # 1,386 fold_point calls (8,221 with 255 sampled curve points per S_n),
-    # and no Newton solve falls back to bisection.  The cascade makes 1,078
-    # edge evaluations when measured (1,408 while build_b1 sampled both B_1
-    # edges) and inverts only the 24 cuts of its steps, and the slope grid
-    # builds the 2 scalar frames of its maxima: both screens settle the rest.
+    # and no Newton solve falls back to bisection.  The cascade makes 594
+    # edge evaluations and 1,223 word applications when measured (1,078 and
+    # 1,707 before each sampled edge point was kept on its handle and the
+    # crossing band's refinement went, 1,408 evaluations while build_b1
+    # sampled both B_1 edges) and inverts only the 24 cuts of its steps, and
+    # the slope grid builds the 2 scalar frames of its maxima: both screens
+    # settle the rest.
     monkeypatch.setattr(rects, "_SN_CACHE", {})
     monkeypatch.setattr(rects, "_FOLD_CACHE", {})
-    counts = {"fold_point": 0, "_bisect_or_fail": 0, "eval": 0, "invert_x": 0, "return_frame": 0}
+    counts = {"fold_point": 0, "_bisect_or_fail": 0, "eval": 0, "apply": 0, "invert_x": 0, "return_frame": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -261,12 +285,44 @@ def test_reference_run_work_counts(ref_config, tmp_path, monkeypatch):
     monkeypatch.setattr(numerics, "_bisect_or_fail", counted("_bisect_or_fail", numerics._bisect_or_fail))
     for name in ("eval", "invert_x"):
         monkeypatch.setattr(cascade.CurveHandle, name, counted(name, getattr(cascade.CurveHandle, name)))
+    monkeypatch.setattr(cascade.MapWord, "apply", counted("apply", cascade.MapWord.apply))
     monkeypatch.setattr(returns, "return_frame", counted("return_frame", returns.return_frame))
     assert run(ref_config, "all", out_dir=str(tmp_path / "out")) == 0
     assert 0 < counts["fold_point"] <= 2000
     assert counts["_bisect_or_fail"] == 0
-    assert counts["eval"] <= 1078
+    assert counts["eval"] <= 594
+    assert counts["apply"] <= 1223
     assert (counts["invert_x"], counts["return_frame"]) == (24, 2)
+
+
+def test_cascade_evaluates_each_edge_point_once(ref_config, tmp_path, monkeypatch):
+    # One reference cascade command evaluates no (handle, s) pair twice
+    # outside invert_x (232 pairs repeated before the edge samplers kept
+    # their points on the handle): the escape check's 33 points are the even
+    # half of the 65 that max_edge_slope and the crossing band read, and a
+    # cut over a whole edge is the handle whose points the monotone check
+    # took.  invert_x keeps its points for one call only, so they are left out.
+    seen, inside = Counter(), []
+    original_eval, original_invert = cascade.CurveHandle.eval, cascade.CurveHandle.invert_x
+
+    def counted_eval(self, sys, s):
+        if not inside:
+            seen[self, s] += 1
+        return original_eval(self, sys, s)
+
+    def counted_invert(self, sys, x):
+        inside.append(x)
+        try:
+            return original_invert(self, sys, x)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(cascade.CurveHandle, "eval", counted_eval)
+    monkeypatch.setattr(cascade.CurveHandle, "invert_x", counted_invert)
+    results, _ = cli.cmd_cascade(load_config(ref_config), tmp_path)
+    assert results["witness"]["n"] == 12
+    assert len(seen) > 500
+    assert [key for key, count in seen.items() if count > 1] == []
 
 
 def test_mismatched_pair_keeps_the_sign_case(tmp_path, monkeypatch):
