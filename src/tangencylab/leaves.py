@@ -69,7 +69,8 @@ class SeedArc:
         return Polynomial(self.coeffs)(x)
 
     def contains(self, x: float) -> bool:
-        return self.domain[0] - _MEMBERSHIP_TOL <= x <= self.domain[1] + _MEMBERSHIP_TOL
+        """x inside the domain up to _MEMBERSHIP_TOL; ``x`` may be a numpy array."""
+        return (self.domain[0] - _MEMBERSHIP_TOL <= x) & (x <= self.domain[1] + _MEMBERSHIP_TOL)
 
 
 @dataclass(frozen=True)
@@ -85,6 +86,12 @@ def t_window(sys: ModelSystem) -> tuple[float, float]:
     """Parameter window for the arcs: t + 1 in [(1+eps)^-3, (1+eps)^3]."""
     u = 1.0 + sys.epsilon
     return (u**-3 - 1.0, u**3 - 1.0)
+
+
+def _in_window(sys: ModelSystem, t: float) -> bool:
+    """t inside ``t_window`` up to _MEMBERSHIP_TOL; ``t`` may be a numpy array."""
+    lo, hi = t_window(sys)
+    return (lo - _MEMBERSHIP_TOL <= t) & (t <= hi + _MEMBERSHIP_TOL)
 
 
 def _pullback(sys: ModelSystem, n: int, t: float) -> float:
@@ -106,8 +113,8 @@ def alpha(sys: ModelSystem, n: int, t: float) -> ArcPoint:
     """Parametrization (t + 1, y_n(t + 1)) of the n-th arc over the window."""
     if n < 0:
         raise DomainError("arc index must be nonnegative")
-    lo, hi = t_window(sys)
-    if not (lo - _MEMBERSHIP_TOL <= t <= hi + _MEMBERSHIP_TOL):
+    if not _in_window(sys, t):
+        lo, hi = t_window(sys)
         raise DomainError(f"t={t:g} outside arc window [{lo:g}, {hi:g}]")
     x = _pullback(sys, n, t)
     if not sys.seed.contains(x):

@@ -14,6 +14,15 @@ about 1% of random brackets take two steps more than bisection.  Counted
 this way the bound is exact: for an f that changes sign once in the
 bracket, the search makes at most one evaluation more than bisection on the
 same bracket, and where f is smooth it makes about half as many.
+
+A polynomial's roots are isolated by Sturm counts and polished by guarded
+Newton steps first: p and p' come from one Horner pass, the first trial
+point is the bracket's regula falsi point, every trial point tightens the
+sign bracket, and a step that leaves the bracket is replaced by its
+midpoint.  Once a step moves no more than 2 ulps, the bisection above runs
+from probes 2 ulps either side of the point, or on the whole sign bracket
+when the probes hold no sign change, so the polish keeps the one stop rule.
+``solve_newton`` is no polish: it stops on a residual tolerance.
 """
 
 from __future__ import annotations
@@ -208,16 +217,52 @@ class Polynomial(tuple):
         return Polynomial(self[: max((k + 1 for k, c in enumerate(self) if c != 0.0), default=0)])
 
 
-def real_roots(p: Polynomial, lo: float, hi: float) -> list[float]:
-    """The distinct real roots of p in (lo, hi], ascending.
+def _horner(p: Polynomial, x: float) -> tuple[float, float]:
+    """(p(x), p'(x)) in one Horner pass; p(x) rounds as ``p(x)`` does."""
+    f = d = 0.0
+    for c in reversed(p):
+        d = d * x + f
+        f = f * x + c
+    return f, d
 
-    Sturm's theorem counts them on an interval; halving isolates each one,
-    and :func:`_bisect` polishes it once p changes sign across its interval.
-    A root that halving cannot separate in doubles (a multiple root, a
-    cluster) is the upper end of its two-double interval.
-    """
-    chain, nxt = [p.trimmed()], p.trimmed().derivative()
-    while nxt:  # Sturm sequence: each member is minus the remainder of the two before it
+
+def _polish(p: Polynomial, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
+    """The root of p in [lo, hi], where p(lo) = f_lo and p(hi) = f_hi are
+    nonzero with opposite signs: guarded Newton steps from the regula falsi
+    point, each trial point tightening the bracket, then :func:`_bisect`
+    from probes 2 ulps either side of the last point, or on the bracket
+    when they hold no sign change."""
+    sign_lo = math.copysign(1.0, f_lo)
+    x = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+    for _ in range(_MAX_NEWTON_STEPS):
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:  # the bracket is down to two neighbouring doubles
+                break
+        f_x, d_x = _horner(p, x)
+        if f_x == 0.0:
+            return x
+        if math.copysign(1.0, f_x) == sign_lo:
+            lo = x
+        else:
+            hi = x
+        step = f_x / d_x if d_x != 0.0 else math.inf
+        if abs(step) <= 2.0 * math.ulp(x):
+            try:
+                return _bisect(p, max(lo, x - 2.0 * math.ulp(x)), min(hi, x + 2.0 * math.ulp(x)))
+            except _NoSignChange:
+                break
+        x -= step
+    return _bisect(p, lo, hi)
+
+
+def _sturm(p: Polynomial) -> Callable[[float], int]:
+    """The sign changes of p's Sturm sequence at a point.  Their drop from
+    lo to hi counts the distinct real roots of p in (lo, hi] (Sturm's
+    theorem)."""
+    p = p.trimmed()
+    chain, nxt = [p], p.derivative()
+    while nxt:  # each member is minus the remainder of the two before it
         chain.append(nxt)
         rem = list(chain[-2])
         while len(rem) >= len(nxt):
@@ -230,6 +275,18 @@ def real_roots(p: Polynomial, lo: float, hi: float) -> list[float]:
         signs = [v > 0.0 for v in (q(x) for q in chain) if v != 0.0]
         return sum(a != b for a, b in zip(signs, signs[1:]))
 
+    return changes
+
+
+def real_roots(p: Polynomial, lo: float, hi: float) -> list[float]:
+    """The distinct real roots of p in (lo, hi], ascending.
+
+    Sturm counts (:func:`_sturm`) and halving isolate each root, and
+    :func:`_polish` polishes it once p changes sign across its interval.
+    A root that halving cannot separate in doubles (a multiple root, a
+    cluster) is the upper end of its two-double interval.
+    """
+    changes = _sturm(p)
     roots, todo = [], [(lo, hi, changes(lo), changes(hi))]
     while todo:
         a, b, v_a, v_b = todo.pop()
@@ -237,7 +294,7 @@ def real_roots(p: Polynomial, lo: float, hi: float) -> list[float]:
             continue
         mid, f_a, f_b = 0.5 * (a + b), p(a), p(b)
         if v_a - v_b == 1 and f_a != 0.0 and f_b != 0.0 and (f_a > 0.0) != (f_b > 0.0):
-            roots.append(_bisect(p, a, b))
+            roots.append(_polish(p, a, b, f_a, f_b))
         elif (v_a - v_b == 1 and f_b == 0.0) or mid in (a, b):
             roots.append(b)
         else:

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .leaves import alpha, arc_height, t_window
 from .model import ModelSystem, Point, Rect, _phi_parts
-from .numerics import Polynomial, real_roots
+from .numerics import Polynomial, _sturm, real_roots
 
 __all__ = [
     "SnRectangle",
@@ -53,19 +53,22 @@ Fold = tuple[float, Polynomial, Polynomial]  # (scale, X(s), Y(s)), s = t / scal
 def fold_point(sys: ModelSystem, n: int, t: float) -> Point:
     """phi(alpha_n(t)), a point of the folded curve near r, with alpha's
     window and seed-domain checks.  phi is evaluated at the offset t itself,
-    so the abscissa is ``fold_x`` to the bit."""
+    so the abscissa is ``fold_x`` of the float t to the bit."""
     return _phi_parts(sys, t, alpha(sys, n, t).point[1])
 
 
 def fold_x(sys: ModelSystem, n: int, t: float) -> float:
     """Abscissa of the folded curve, X(t) = pr_x(phi(alpha_n(t))), by raw
-    arithmetic without window checks.  ``t`` may be a numpy array."""
+    arithmetic without window checks.  ``t`` may be a numpy array; numpy's
+    power does not round like libm's, so an array's abscissas may differ
+    from the floats' in the last bits."""
     return _phi_parts(sys, t, arc_height(sys, n, t))[0]
 
 
 def fold_velocity(sys: ModelSystem, n: int, t: float) -> Point:
     """Tangent (X'(t), Y'(t)) of the folded curve, the derivatives of its
-    polynomials; raw arithmetic like ``fold_x``."""
+    polynomials; raw arithmetic like ``fold_x``, and the same bits on a
+    numpy array as on its floats."""
     scale, x, y = _fold(sys, n)
     return (x.derivative()(t / scale) / scale, y.derivative()(t / scale) / scale)
 
@@ -201,8 +204,8 @@ def build_sn(sys: ModelSystem, n: int) -> SnRectangle:
     """Construct S_n: the tangency pair, the caps, and the y extent of the
     piece between the caps from the four fold points and the zeros of Y'.
     The piece is one hook inside the strip between the tangencies exactly
-    when X' has no other zero between the caps; any other count of them
-    raises NumericError.
+    when X' has no other zero between the caps; a Sturm count of them, with
+    no zero polished, other than 2 raises NumericError.
 
     Each S_n is built once per (system, n) and shared afterwards; systems
     are frozen and compare by value, so an equal system built elsewhere gets
@@ -216,7 +219,8 @@ def build_sn(sys: ModelSystem, n: int) -> SnRectangle:
     fold = scale, x, y = _fold(sys, n)
     params = (t_ext_minus, t_minus, t_plus, t_ext_plus)
     s_ext_minus, s_minus, s_plus, s_ext_plus = ss = [t / scale for t in params]
-    zeros = len(real_roots(x.derivative(), s_ext_minus, s_ext_plus))
+    changes = _sturm(x.derivative())
+    zeros = changes(s_ext_minus) - changes(s_ext_plus)
     if zeros != 2:
         raise NumericError(f"X' has {zeros} zeros between the caps of S_{n}, not 2: the fold piece is not one hook inside its strip")
     pts = tuple(fold_point(sys, n, t) for t in params)

@@ -27,7 +27,7 @@ from .errors import (
     WindowExceededError,
     WrongQuadrantError,
 )
-from .leaves import t_window
+from .leaves import _in_window, _pullback, alpha, arc_height, t_window
 from .model import (
     _LOG_MAX,
     _LOG_MIN,
@@ -51,7 +51,7 @@ from .model import (
     signed_power,
 )
 from .numerics import real_roots
-from .rects import Fold, build_sn, fold_point, fold_rectangles, fold_velocity
+from .rects import Fold, build_sn, fold_point, fold_rectangles, fold_velocity, fold_x
 
 __all__ = [
     "VERTICAL",
@@ -219,13 +219,14 @@ def slope_through_return(sys: ModelSystem, point: Point, slope: float) -> tuple[
 _GRID_SIDE = 32
 
 # Margin of the slope-grid screen, in log space (and relative to the size
-# of phi's terms for the sign of z_x).  numpy's pow and log do not round
-# like libm, so a screened value is not the scalar path's double; a cell
-# whose screened value lies within the margin of a decision or of a maximum
-# is decided in scalars instead.  The margin is _SCREEN_FACTOR times a
-# ceiling of 1e-13 on the screen-scalar gap; tests/test_closed_forms.py
-# measures the gap below that ceiling (1.9e-15 on the reference system, the
-# instance sweep seeds 0-20 and the 16 sign cases).
+# of phi's terms for the sign of z_x and for jn_slope_check's abscissas).
+# numpy's pow and log do not round like libm, so a screened value is not
+# the scalar path's double; a cell whose screened value lies within the
+# margin of a decision or of a maximum is decided in scalars instead.  The
+# margin is _SCREEN_FACTOR times a ceiling of 1e-13 on the screen-scalar
+# gap; tests/test_closed_forms.py measures the gap below that ceiling (1.9e-15
+# on the reference system, the instance sweep seeds 0-20 and the 16 sign
+# cases, 2.0e-16 for the abscissas).
 _SCREEN_FACTOR = 1e4
 _SCREEN_DELTA = 1e-9
 
@@ -509,22 +510,31 @@ def jn_slope_check(sys: ModelSystem, n: int, s: float) -> JnSlopeReport:
     """Sample the returned branch and test |dy/dx| <= eps^(5/2) pointwise.
 
     Samples whose fold point lies inside S_n (the hook, where the tangent
-    turns vertical) are excluded from the statistic but counted.
+    turns vertical) are excluded from the statistic but counted.  The
+    samples are taken as one array: the first that ``alpha`` refuses raises
+    its DomainError, abscissas come from ``fold_x`` and velocities from
+    ``fold_velocity``.  numpy's power does not round like libm's, so an
+    abscissa within _SCREEN_DELTA of S_n's sides, relative to the size of
+    phi's terms, is recomputed by ``fold_point``.  ``_rescale_slope`` is
+    monotone, so the largest rescaled slope is that of the largest
+    |vy / vx|; a kept sample with vx = 0 makes it VERTICAL.
     """
     threshold = _slope_cone(sys)[0]
     beta = beta_arc(sys, n, s)
-    max_slope = 0.0
-    excluded = 0
-    for t in np.linspace(beta.t_lo, beta.t_hi, _JN_SAMPLES):
-        p = fold_point(sys, n, float(t))
-        if beta.s_n_minus <= p[0] <= beta.s_n_plus:
-            excluded += 1
-            continue
-        vx, vy = fold_velocity(sys, n, float(t))
-        if vx == 0.0:
-            max_slope = VERTICAL
-            continue
-        max_slope = max(max_slope, _rescale_slope(sys, abs(vy / vx), beta.j))
+    ts = np.linspace(beta.t_lo, beta.t_hi, _JN_SAMPLES)
+    refused = ~(_in_window(sys, ts) & sys.seed.contains(_pullback(sys, n, ts)))
+    if refused.any():
+        alpha(sys, n, float(ts[refused.argmax()]))  # raises for the first refused sample
+    x = fold_x(sys, n, ts)
+    margin = _SCREEN_DELTA * _phi_parts(_absolute(sys), np.abs(ts), np.abs(arc_height(sys, n, ts)))[0]
+    for i in np.flatnonzero((np.abs(x - beta.s_n_minus) <= margin) | (np.abs(x - beta.s_n_plus) <= margin)):
+        x[i] = fold_point(sys, n, float(ts[i]))[0]
+    kept = ~((beta.s_n_minus <= x) & (x <= beta.s_n_plus))
+    vx, vy = fold_velocity(sys, n, ts[kept])
+    if (vx == 0.0).any():
+        max_slope = VERTICAL
+    else:
+        max_slope = _rescale_slope(sys, float(np.max(np.abs(vy / vx), initial=0.0)), beta.j)
     return JnSlopeReport(
         n=n,
         s=s,
@@ -533,7 +543,7 @@ def jn_slope_check(sys: ModelSystem, n: int, s: float) -> JnSlopeReport:
         max_slope=max_slope,
         passed=bool(max_slope <= threshold),
         samples=_JN_SAMPLES,
-        excluded=excluded,
+        excluded=_JN_SAMPLES - int(np.count_nonzero(kept)),
     )
 
 

@@ -11,6 +11,14 @@ The script prints each config that differs and what differs, and exits 1
 when any does.  WORK_DIR defaults to a new temporary directory, which is
 kept for inspection.
 
+Inside a differing CSV or JSON file, each differing cell or leaf is printed
+with its column or key path and, where both sides are finite numbers, their
+distance in ulps (units in the last place, counted between the two
+doubles); any other difference (text, a flag, a changed shape) is printed
+as "text".  A drift table closes the output: one row per file and column or
+key (list indices dropped) with the count of differing values and the
+largest distance, and one row per file with its largest distance.
+
 The set, generated from this file's checkout: the reference config and the
 benchmark's ``geometry`` config, both instances of instance-sweep seeds
 0-40, the 16 sign cases of the reference jet, the held-out jets of
@@ -22,9 +30,14 @@ pytest does not collect this file: its name has no ``test_`` prefix.
 
 from __future__ import annotations
 
+import csv
 import importlib.util
+import io
 import json
+import math
 import os
+import re
+import struct
 import subprocess
 import sys
 import tempfile
@@ -85,6 +98,74 @@ def _run(checkout: Path, config: Path, side_dir: Path, name: str) -> dict[str, b
     return outputs
 
 
+def _ulps(a, b) -> int | None:
+    """Distance in ulps between two finite numbers (0.0 and -0.0 coincide),
+    None when either is not a finite number."""
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) for v in (a, b)):
+        return None
+
+    def ordered(v: float) -> int:
+        bits = struct.unpack("<q", struct.pack("<d", float(v)))[0]
+        return bits if bits >= 0 else -(2**63) - bits
+
+    return abs(ordered(a) - ordered(b))
+
+
+def _number(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _csv_cells(data: bytes) -> dict[str, object]:
+    """``column[row]`` -> cell value (a float where it parses as one)."""
+    rows = list(csv.DictReader(io.StringIO(data.decode())))
+    return {f"{col}[{i}]": _number(v) for i, row in enumerate(rows) for col, v in row.items()}
+
+
+def _json_leaves(node, path: str = "") -> dict[str, object]:
+    """key path -> leaf value; lists index their items as ``[i]``."""
+    if isinstance(node, dict):
+        items = ((f"{path}.{k}" if path else str(k), v) for k, v in node.items())
+    elif isinstance(node, list):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(node))
+    else:
+        return {path: node}
+    out = {path: type(node).__name__} if not node else {}
+    for key, value in items:
+        out.update(_json_leaves(value, key))
+    return out
+
+
+def value_diffs(name: str, old: bytes | None, new: bytes | None) -> list[tuple[str, object, object, int | None]]:
+    """(cell or key path, old value, new value, ulps or None) for each value
+    that differs inside the CSV or JSON file ``name``; one whole-file entry
+    for any other file or for a file on one side only."""
+    if old is None or new is None or not name.endswith((".csv", ".json")):
+        return [("<file>", None, None, None)]
+    parse = _csv_cells if name.endswith(".csv") else lambda data: _json_leaves(json.loads(data))
+    a, b = parse(old), parse(new)
+    return [(key, a.get(key), b.get(key), _ulps(a.get(key), b.get(key))) for key in sorted(set(a) | set(b)) if a.get(key) != b.get(key)]
+
+
+def drift_table(rows: list[tuple[str, str, int | None]]) -> list[str]:
+    """Lines of the drift table over (file, key path, ulps) rows."""
+    groups: dict[tuple[str, str], list[int | None]] = {}
+    for file, key, ulps in rows:
+        groups.setdefault((file, re.sub(r"\[\d+\]", "[]", key)), []).append(ulps)
+
+    def worst(values: list[int | None]) -> str:
+        return "text" if None in values else str(max(values))
+
+    lines = [f"{'file':<14} {'column or key':<60} {'values':>6} {'max ulps':>8}"]
+    lines += [f"{file:<14} {key:<60} {len(v):>6} {worst(v):>8}" for (file, key), v in sorted(groups.items())]
+    for file in sorted({file for file, _ in groups}):
+        values = [u for (f, _), v in groups.items() if f == file for u in v]
+        lines.append(f"{file:<14} {'(whole file)':<60} {len(values):>6} {worst(values):>8}")
+    return lines
+
+
 def main(argv: list[str]) -> int:
     if len(argv) not in (2, 3):
         print(__doc__.split("\n\n")[1], file=sys.stderr)
@@ -97,16 +178,24 @@ def main(argv: list[str]) -> int:
     for name, raw in configs.items():
         (work / "configs" / f"{name}.json").write_text(json.dumps(raw, sort_keys=True, indent=2) + "\n")
 
-    def compare(name: str) -> list[str]:
+    def compare(name: str) -> dict[str, list]:
         config = work / "configs" / f"{name}.json"
         a, b = (_run(tree, config, work / side, name) for tree, side in ((old, "old"), (new, "new")))
-        return [key for key in sorted(set(a) | set(b)) if a.get(key) != b.get(key)]
+        return {key: value_diffs(key, a.get(key), b.get(key)) for key in sorted(set(a) | set(b)) if a.get(key) != b.get(key)}
 
     with ThreadPoolExecutor(WORKERS) as pool:
         diffs = dict(zip(configs, pool.map(compare, configs)))
-    changed = {name: keys for name, keys in diffs.items() if keys}
-    for name, keys in changed.items():
-        print(f"{name}: {' '.join(keys)}")
+    changed = {name: files for name, files in diffs.items() if files}
+    rows = []
+    for name, files in changed.items():
+        print(f"{name}: {' '.join(files)}")
+        for file, values in files.items():
+            for key, a, b, ulps in values:
+                shift = "differs" if key == "<file>" else f"{a!r} -> {b!r} ({'text' if ulps is None else f'{ulps} ulps'})"
+                print(f"  {file} {key}: {shift}")
+                rows.append((file, key, ulps))
+    if rows:
+        print("\n".join(drift_table(rows)))
     print(f"{len(configs) - len(changed)} of {len(configs)} configs identical; outputs under {work}")
     return 1 if changed else 0
 

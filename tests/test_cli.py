@@ -1,3 +1,4 @@
+import functools
 import json
 import shutil
 import subprocess
@@ -260,8 +261,10 @@ def test_cascade_skips_levels_whose_b1_cannot_return(bench_workloads, tmp_path):
 
 def test_reference_run_work_counts(ref_config, tmp_path, monkeypatch):
     # One reference all run from empty caches: the fold polynomials leave
-    # 1,386 fold_point calls (8,221 with 255 sampled curve points per S_n),
-    # and no Newton solve falls back to bisection.  The cascade makes 594
+    # 787 fold_point calls (8,221 with 255 sampled curve points per S_n,
+    # 1,386 while jn_slope_check evaluated its 600 samples one by one; the
+    # array path recomputes 1 sample near a side of S_n), and no Newton
+    # solve falls back to bisection.  The cascade makes 594
     # edge evaluations and 1,223 word applications when measured (1,078 and
     # 1,707 before each sampled edge point was kept on its handle and the
     # crossing band's refinement went, 1,408 evaluations while build_b1
@@ -288,11 +291,53 @@ def test_reference_run_work_counts(ref_config, tmp_path, monkeypatch):
     monkeypatch.setattr(cascade.MapWord, "apply", counted("apply", cascade.MapWord.apply))
     monkeypatch.setattr(returns, "return_frame", counted("return_frame", returns.return_frame))
     assert run(ref_config, "all", out_dir=str(tmp_path / "out")) == 0
-    assert 0 < counts["fold_point"] <= 2000
+    assert 0 < counts["fold_point"] <= 787
     assert counts["_bisect_or_fail"] == 0
     assert counts["eval"] <= 594
     assert counts["apply"] <= 1223
     assert (counts["invert_x"], counts["return_frame"]) == (24, 2)
+
+
+def test_reference_run_root_polish_work(ref_config, tmp_path, monkeypatch):
+    # One reference all run from empty caches: the Horner passes and
+    # Polynomial evaluations of the root searches, by caller, with build_sn's
+    # Sturm count of the zeros of X': 2,611 in all.  Polishing each root by
+    # _bisect from its isolating interval, and X''s two zeros only to count
+    # them, took 7,971: vertical_params 4,653, build_sn 1,488, _branch_y_at
+    # 1,004, extended_params 752 and _first_crossing 74.
+    monkeypatch.setattr(rects, "_SN_CACHE", {})
+    monkeypatch.setattr(rects, "_FOLD_CACHE", {})
+    counts, inside = Counter(), []
+
+    def within(label, fn, *args):
+        inside.append(label)
+        try:
+            return fn(*args)
+        finally:
+            inside.pop()
+
+    def evaluation(fn):
+        def wrapper(*args):
+            if inside:
+                counts[inside[-1]] += 1
+            return fn(*args)
+
+        return wrapper
+
+    real_roots, sturm = numerics.real_roots, rects._sturm
+    monkeypatch.setattr(numerics.Polynomial, "__call__", evaluation(numerics.Polynomial.__call__))
+    monkeypatch.setattr(numerics, "_horner", evaluation(numerics._horner))
+    for module in (rects, returns, moduli):
+        monkeypatch.setattr(module, "real_roots", lambda *args: within(sys._getframe(1).f_code.co_name, real_roots, *args))
+    monkeypatch.setattr(rects, "_sturm", lambda p: functools.partial(within, "build_sn", sturm(p)))
+    assert run(ref_config, "all", out_dir=str(tmp_path / "out")) == 0
+    assert dict(counts) == {
+        "vertical_params": 1244,
+        "build_sn": 208,
+        "_branch_y_at": 648,
+        "extended_params": 447,
+        "_first_crossing": 64,
+    }
 
 
 def test_cascade_evaluates_each_edge_point_once(ref_config, tmp_path, monkeypatch):

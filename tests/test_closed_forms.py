@@ -4,19 +4,22 @@ and of the cascade's box fibers.  Each shortcut must give the bits of the
 path it replaces, and the operation counts keep the real work visible."""
 
 import functools
+import itertools
 import json
 import math
-from dataclasses import replace
+from collections import Counter
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tangencylab as tl
-from tangencylab import cascade, cli, returns
+from tangencylab import cascade, cli, rects, returns
 from tangencylab.cases import SIGN_CASES
 from tangencylab.cascade import Box, CurveHandle, MapWord, _fiber, _fiber_metrics, _lobatto, _screen_fibers, box_metrics, build_b1
-from tangencylab.model import _MEMBERSHIP_TOL
+from tangencylab.leaves import arc_height
+from tangencylab.model import _MEMBERSHIP_TOL, _phi_parts, _small_expansion
 from tangencylab.rects import level_range
 from tangencylab.returns import ReturnFrame, SlopeGrid, _rescale_slope, _screen, _u0_image, return_frame, slope_through_return
 
@@ -451,6 +454,96 @@ def test_screen_gap_stays_below_the_margin(grid_configs, scalar_frames):
     assert gaps.size > 60 * 1024
     assert 0.0 < gaps.max() < returns._SCREEN_DELTA / returns._SCREEN_FACTOR
 
+
+def _scalar_jn_slope_check(sys, n, s):
+    # jn_slope_check as it sampled the branch before the array path: one
+    # fold_point and one fold_velocity per sample.  Also returns the branch
+    # and the scalar abscissas of its samples.
+    threshold = returns._slope_cone(sys)[0]
+    beta = returns.beta_arc(sys, n, s)
+    max_slope, excluded, xs = 0.0, 0, []
+    for t in np.linspace(beta.t_lo, beta.t_hi, returns._JN_SAMPLES):
+        p = rects.fold_point(sys, n, float(t))
+        xs.append(p[0])
+        if beta.s_n_minus <= p[0] <= beta.s_n_plus:
+            excluded += 1
+            continue
+        vx, vy = rects.fold_velocity(sys, n, float(t))
+        if vx == 0.0:
+            max_slope = returns.VERTICAL
+            continue
+        max_slope = max(max_slope, _rescale_slope(sys, abs(vy / vx), beta.j))
+    report = returns.JnSlopeReport(n, s, beta.j, threshold, max_slope, bool(max_slope <= threshold), returns._JN_SAMPLES, excluded)
+    return report, beta, np.array(xs)
+
+
+def _searched_levels(sys):
+    """The levels find_s_n0 tries its caps on; none where it raises first."""
+    if not _small_expansion(sys):
+        return []
+    try:
+        levels = [S.n for S in itertools.islice(rects.fold_rectangles(sys, 1, sys.n_max), 3)]
+    except tl.TangencyLabError:
+        return []
+    return levels if len(levels) == 3 else []
+
+
+def _report_bits(report):
+    return tuple(v.hex() if isinstance(v, float) else v for v in astuple(report))
+
+
+def test_jn_slope_check_equals_the_scalar_loop(grid_configs, tilted):
+    # Every cap of _S_GRID on every level find_s_n0 tries, on the grid
+    # systems and the tilted seed: the same report bits or the same error.
+    # The array abscissas of fold_x are not fold_point's bits (numpy's power
+    # does not round like libm's), but their gap, relative to the size of
+    # phi's terms, stays far below the margin inside which jn_slope_check
+    # recomputes an abscissa by fold_point.
+    systems = {label: cfg.system for label, cfg in grid_configs.items()}
+    systems["tilted seed"] = tilted
+    outcomes, gaps, near = Counter(), [], 0
+    for label, sys in systems.items():
+        for n in _searched_levels(sys):
+            for s in returns._S_GRID:
+                try:
+                    got = _report_bits(returns.jn_slope_check(sys, n, s))
+                except tl.TangencyLabError as exc:
+                    got = type(exc).__name__, str(exc)
+                try:
+                    report, beta, xs = _scalar_jn_slope_check(sys, n, s)
+                except tl.TangencyLabError as exc:
+                    assert got == (type(exc).__name__, str(exc)), (label, n, s)
+                    outcomes[got[0]] += 1
+                    continue
+                assert got == _report_bits(report), (label, n, s)
+                outcomes["passed" if report.passed else "failed"] += 1
+                ts = np.linspace(beta.t_lo, beta.t_hi, returns._JN_SAMPLES)
+                scale = _phi_parts(returns._absolute(sys), np.abs(ts), np.abs(arc_height(sys, n, ts)))[0]
+                gaps.append(np.abs(rects.fold_x(sys, n, ts) - xs) / scale)
+                sides = np.minimum(np.abs(xs - beta.s_n_minus), np.abs(xs - beta.s_n_plus))
+                near += np.count_nonzero(sides <= returns._SCREEN_DELTA * scale)
+    assert 0.0 < np.concatenate(gaps).max() < returns._SCREEN_DELTA / returns._SCREEN_FACTOR
+    # the comparison covers both errors of beta_arc and 40 samples that are
+    # recomputed by fold_point; every returned branch passes
+    assert outcomes == {"passed": 770, "WrongQuadrantError": 90, "NotFoundError": 25}
+    assert near == 40
+
+
+def test_jn_slope_check_recomputes_abscissas_at_the_sides_of_s_n(ref, monkeypatch):
+    # On reference level 7, cap 0.2, the fold_x abscissa of a sample is not
+    # fold_point's double.  With S_n's lower side moved onto the larger of
+    # the two, they fall on either side of it, and the report is still the
+    # scalar loop's: the sample is recomputed by fold_point.
+    n, s = 7, 0.2
+    beta = returns.beta_arc(ref, n, s)
+    ts = np.linspace(beta.t_lo, beta.t_hi, returns._JN_SAMPLES)
+    array = rects.fold_x(ref, n, ts)
+    scalar = np.array([rects.fold_point(ref, n, float(t))[0] for t in ts])
+    i = np.flatnonzero(array != scalar)[0]
+    moved = replace(beta, s_n_minus=max(array[i], scalar[i]))
+    monkeypatch.setattr(returns, "beta_arc", lambda sys, n, s: moved)
+    want = _scalar_jn_slope_check(ref, n, s)[0]
+    assert _report_bits(returns.jn_slope_check(ref, n, s)) == _report_bits(want)
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
 """The shared numerical kernels: bisection, Newton with its fallback, the
-log-space power, the polynomial jet of phi and the window scan."""
+real roots of polynomials, the log-space power, the polynomial jet of phi
+and the window scan."""
 
 import math
 import struct
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from tangencylab import numerics
 from tangencylab.errors import NumericError
 from tangencylab.model import _DIRECT_POW_LIMIT, _poly, _scale_power, _window_power, signed_power
-from tangencylab.numerics import _bisect, solve_newton
+from tangencylab.numerics import Polynomial, _bisect, _sturm, real_roots, solve_newton
 
 
 def _counted(f):
@@ -117,6 +118,44 @@ def test_exhaustive_search_costs_at_most_one_step_more_than_bisection(case, root
         math.copysign(1.0, f_t) != math.copysign(1.0, f(side))
         for side in (math.nextafter(t, -math.inf), math.nextafter(t, math.inf))
     )
+
+
+# -- real roots of polynomials -------------------------------------------------
+
+
+@st.composite
+def _rooted_polynomials(draw):
+    """(p, lo, hi): a polynomial of degree 1 to 6 built from known simple
+    roots m * 10^e, one per decade e in [-6, 0] and m in [1, 5] (so roots
+    differ by a factor of 2 at least), times a leading coefficient down to
+    1e-40, as the fold polynomials of deep levels have; the interval holds
+    every root.  Degree 1 is the shape of a deflated cap."""
+    exponents = draw(st.lists(st.integers(-6, 0), min_size=1, max_size=6, unique=True))
+    roots = [draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(1.0, 5.0)) * 10.0**e for e in exponents]
+    lead = draw(st.sampled_from((-1.0, 1.0))) * 10.0 ** draw(st.floats(-40.0, 2.0))
+    p = Polynomial((lead,))
+    for r in roots:
+        p = p * Polynomial((-r, 1.0))
+    reach = 3.0 * max(map(abs, roots))
+    return p, -reach * draw(st.floats(1.0, 2.0)), reach * draw(st.floats(1.0, 2.0))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_rooted_polynomials())
+def test_polished_roots_are_sign_changes_the_sturm_count_predicts(case):
+    # Each polished root is an exact zero of p, or a double where p changes
+    # sign against a neighbouring double: the one stop rule of the searches.
+    p, lo, hi = case
+    roots = real_roots(p, lo, hi)
+    changes = _sturm(p)
+    assert roots == sorted(set(roots))
+    assert len(roots) == changes(lo) - changes(hi)
+    for r in roots:
+        f_r = p(r)
+        assert f_r == 0.0 or any(
+            f_side != 0.0 and (f_side > 0.0) != (f_r > 0.0)
+            for f_side in (p(math.nextafter(r, -math.inf)), p(math.nextafter(r, math.inf)))
+        )
 
 
 # -- Newton with bisection fallback ------------------------------------------
