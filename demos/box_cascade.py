@@ -3,10 +3,14 @@
 Starting from the sub-box B_1 cut out by the level-n arc, each cascade step
 pushes a box through the transition map and back under the saddle map,
 producing a wider, flatter, thinner box: widths grow by at least a decade per
-step while heights and deviations shrink by at least a decade.  Every box is
-crossed by exactly three arcs of the lamination.  The cascade ends when the
+step while heights and deviations shrink by at least a decade.  Those are
+far below the double range (the doubles print 0.000e+00), so each is also
+printed as the power of ten the cascade transports in log space.  Every box
+is crossed by exactly three arcs of the lamination.  The cascade ends when the
 next box would leave the return rectangle.
 """
+
+import math
 
 import tangencylab as tl
 
@@ -19,8 +23,9 @@ def main():
         print(f"n={n}: reached k0={res.k0} boxes, saddle exponents u={res.u_exponents}")
         for k in range(res.k0):
             arcs = tl.count_crossing_arcs(sys, n, res.boxes[k])
-            print(f"  B_{k + 1}: width={res.widths[k]:.6e}  height={res.heights[k]:.3e}  "
-                  f"deviation={res.dists[k]:.3e}  crossing arcs={arcs}")
+            log10_h, log10_d = (v[k] / math.log(10.0) for v in (res.log_heights, res.log_dists))
+            print(f"  B_{k + 1}: width={res.widths[k]:.6e}  height={res.heights[k]:.3e} (10^{log10_h:.2f})  "
+                  f"deviation={res.dists[k]:.3e} (10^{log10_d:.2f})  crossing arcs={arcs}")
         for k in range(res.k0 - 1):
             print(f"  W_{k + 2}/W_{k + 1} = {res.widths[k + 1] / res.widths[k]:.1f}")
         if res.violations:

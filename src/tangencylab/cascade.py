@@ -11,6 +11,14 @@ R_eps, and the number of boxes built is k0.
 Curves are never discretized destructively: box edges are *handles*, a
 straight base segment plus a word of maps evaluated on demand, so every
 metric can be re-sampled at full precision at any depth.
+
+The vertical measures live in log space.  A box sits at about |lam|^(i_n)
+above the unstable axis (1e-401 at reference level 12), so its top, bottom
+and delta edges are the same doubles, and its height H_k and clearance L_k
+would read 0.0.  ``box_metrics`` instead transports the offsets of the base
+segments along the word to first order, as logs, and the decade checks of
+``run_cascade`` compare those logs; ``heights`` and ``dists`` are their
+saturated exponentials.
 """
 
 from __future__ import annotations
@@ -33,9 +41,9 @@ from .model import (
     _MEMBERSHIP_TOL,
     ModelSystem,
     Point,
-    _phi_parts,
+    _phi_jacobian,
+    _saturated_exp,
     _scale_power,
-    _scale_powers,
     _short_recurrence,
     _small_expansion,
     apply_linear,
@@ -147,25 +155,10 @@ class CurveHandle:
         NumericError when the target is not bracketed.
 
         The search is ``numerics._bisect`` run until the bracket is two
-        neighbouring doubles, with ITP steps.  Near the root many
-        neighbouring s round to one base point, so the images of this call
-        are kept by base point and each word is applied once per point.
-        That is exact: ``eval`` depends on s only through ``base_point(s)``,
-        and along one segment a zero coordinate of the base point keeps one
-        sign, so equal keys are equal bits.  The memo lives for one call;
-        kept on the handle it would hold thousands of points per box.
+        neighbouring doubles, with ITP steps.
         """
-        images: dict[Point, Point] = {}
-
-        def offset(s: float) -> float:
-            base = self.base_point(s)
-            image = images.get(base)
-            if image is None:
-                image = images[base] = self.eval(sys, s)
-            return image[0] - x_target
-
         try:
-            return _bisect(offset, self.s_lo, self.s_hi)
+            return _bisect(lambda s: self.eval(sys, s)[0] - x_target, self.s_lo, self.s_hi)
         except _NoSignChange:
             raise NumericError(f"abscissa {x_target:g} outside the handle's image range") from None
 
@@ -177,15 +170,11 @@ def _lobatto(lo: float, hi: float, count: int) -> np.ndarray:
     return lo + (hi - lo) * 0.5 * (1.0 - np.cos(np.pi * js / (count - 1)))
 
 
-# Lobatto count of every cascade sampler: the monotonicity check, the box
-# fibers, the vertical-escape check and the crossing arcs.  The edge scans
-# take 2 * _SAMPLES - 1 points, whose even half is the _SAMPLES-point set.
+# Lobatto count of every cascade sampler: the monotonicity check, the
+# transport of the box heights, the vertical-escape check and the crossing
+# arcs.  The edge scans take 2 * _SAMPLES - 1 points, whose even half is the
+# _SAMPLES-point set.
 _SAMPLES = 33
-
-
-def _around(ss: np.ndarray, idx: int) -> tuple[float, float]:
-    """The samples either side of ss[idx], clamped to the ends: the span a refinement re-samples."""
-    return float(ss[max(idx - 1, 0)]), float(ss[min(idx + 1, len(ss) - 1)])
 
 
 def _x_monotone(xs: list[float]) -> bool:
@@ -259,165 +248,57 @@ def _edge_ys(sys: ModelSystem, handle: CurveHandle) -> list[float]:
     return [p[1] for p in _edge_samples(sys, handle)]
 
 
-# Curves with different parameterizations recover the abscissa of a fiber
-# with a relative error of a few hundred ulps, so y differences that small
-# are inversion noise, not geometry.  Anything meaningful is a macroscopic
-# fraction of the local y scale; clamp everything under this ratio to zero.
-_FIBER_RESOLUTION = 1e-9
+def _offset_gain(sys: ModelSystem, atoms: tuple[tuple, ...], point: Point) -> float:
+    """ln of the factor by which ``atoms`` scale a small vertical offset
+    above ``point`` on a horizontal curve, read at the image abscissa.
 
-
-def _fiber(y_t: float, y_b: float, y_d: float) -> tuple[float, float]:
-    """(length, gap) of a fiber from its top, bottom and delta ordinates."""
-    floor = _FIBER_RESOLUTION * max(abs(y_t), abs(y_b), abs(y_d))
-    lo, hi = (y_b, y_t) if y_b <= y_t else (y_t, y_b)
-    if y_d <= lo:
-        gap = lo - y_d
-    elif y_d >= hi:
-        gap = y_d - hi
-    else:
-        gap = 0.0
-    length = hi - lo
-    return (0.0 if length <= floor else length,
-            0.0 if gap <= floor else gap)
-
-
-# Margin of the fiber screen, relative to the values it compares: numpy's log
-# and exp round unlike libm's and the screen's roots are not ITP's, so a fiber
-# is settled only where each screened value is this far from its decision.
-# It is _FIBER_SCREEN_FACTOR times a ceiling of 1e-12 on the relative gap of
-# screened and scalar ordinates (tests/test_closed_forms.py measures 1.1e-13).
-# A settled length or gap is at most (_FIBER_RESOLUTION - 5 margins) * max|y|,
-# half the floor, so the scalar one stays under the scalar floor.
-_FIBER_SCREEN_FACTOR = 100
-_FIBER_SCREEN_MARGIN = 1e-10
-_FIBER_SCREEN_STEPS = 64  # cap on the steps of the screen's root search
-
-
-def _word_images(sys: ModelSystem, atoms: tuple[tuple, ...], x: np.ndarray, y: np.ndarray, clear: np.ndarray | None = None):
-    """``MapWord.apply`` on arrays of points, without phi's U(q) check.  A ``clear``
-    mask keeps the rows whose powers keep the margin off saturation (``_scale_powers``)."""
-    for atom in atoms:
-        if atom[0] == "phi":
-            x, y = _phi_parts(sys, x - 1.0, y)
-        else:
-            x, y = (_scale_powers(v, base, atom[1], clear, _FIBER_SCREEN_MARGIN) for v, base in ((x, sys.mu), (y, sys.lam)))
-    return x, y
-
-
-def _screen_fibers(sys: ModelSystem, box: Box, xs: list[float]) -> tuple[np.ndarray, np.ndarray]:
-    """(settled, ys): which fibers at the abscissas ``xs`` are certainly
-    (0.0, 0.0), and their screened top, bottom and delta ordinates as rows.
-    One lockstep root search on arrays finds them on all three edges.  A
-    fiber is settled when its screened length and gap are at most half its
-    floor, its ordinates are normal doubles, and, by the margin, every edge's
-    image range holds its abscissa, every log-space power keeps off saturation,
-    and every phi atom's input over the whole edge stays in U(q).  That
-    input is certified from its ends, so it must be a straight segment: a
-    phi atom after another, or edges with different words, settle nothing."""
-    edges = (box.top, box.bottom, box.delta)
-    atoms = box.word.atoms
-    phis = [i for i, atom in enumerate(atoms) if atom[0] == "phi"]
-    count = len(xs)
-    if phis[1:] or any(handle.word != box.word for handle in edges):
-        return np.zeros(count, dtype=bool), np.full((3, count), np.nan)
-    margin = _FIBER_SCREEN_MARGIN
-    target = np.tile(xs, 3)
-    (sx, sy), (ex, ey) = (np.repeat(np.array([getattr(h, end) for h in edges]).T, count, axis=1) for end in ("start", "end"))
-    s_lo, s_hi = (np.repeat([getattr(h, end) for h in edges], count) for end in ("s_lo", "s_hi"))
-
-    def image(s: np.ndarray, word: tuple[tuple, ...] = atoms, clear: np.ndarray | None = None):
-        return _word_images(sys, word, sx + s * (ex - sx), sy + s * (ey - sy), clear)
-
-    with np.errstate(all="ignore"):
-        ok = np.ones(target.shape, dtype=bool)
-        if phis:
-            for s in (s_lo, s_hi):
-                ok &= sys.in_uq(image(s, atoms[: phis[0]], ok), margin)
-        x_lo, x_hi = image(s_lo)[0], image(s_hi)[0]
-        reach = margin * np.abs(target)
-        ok &= (np.minimum(x_lo, x_hi) + reach < target) & (target < np.maximum(x_lo, x_hi) - reach)
-        # Illinois regula falsi (b the latest point, a the kept end) until a
-        # root is exact or the bracket spans one step of the base point's doubles
-        spacing = [np.spacing(np.maximum(np.abs(u), np.abs(v))) / np.abs(v - u) for u, v in ((sx, ex), (sy, ey))]
-        step = np.maximum(np.minimum(*spacing), 2.0 * np.spacing(1.0))
-        a, b, f_a, f_b = s_lo, s_hi, x_lo - target, x_hi - target
-        done = ~ok
-        for _ in range(_FIBER_SCREEN_STEPS):
-            done |= (f_b == 0.0) | (np.abs(b - a) <= step)
-            if done.all():
-                break
-            c = b - f_b * (b - a) / (f_b - f_a)
-            inside = (np.minimum(a, b) < c) & (c < np.maximum(a, b)) & ~done
-            c = np.where(inside, c, np.where(done, b, 0.5 * (a + b)))
-            f_c = image(c)[0] - target
-            kept = np.sign(f_c) == np.sign(f_b)
-            a, f_a = np.where(kept, a, b), np.where(kept, 0.5 * f_a, f_b)
-            b, f_b = c, f_c
-        ok &= done
-        _, y = image(b, clear=ok)
-        ok &= np.abs(y) >= np.finfo(float).tiny * (1.0 + margin)
-        ys = y.reshape(3, count)
-        low, high = np.minimum(ys[0], ys[1]), np.maximum(ys[0], ys[1])
-        worst = np.maximum(high - low, np.maximum(low - ys[2], ys[2] - high))
-        floor = (_FIBER_RESOLUTION - 5.0 * margin) * np.abs(ys).max(axis=0)
-        return ok.reshape(3, count).all(axis=0) & (worst <= floor), ys
-
-
-def _fiber_metrics(sys: ModelSystem, box: Box) -> tuple[float, float]:
-    """(max fiber length, max fiber gap) over the box abscissas.
-
-    A fiber is the intersection of the box with a vertical line: its length
-    is the top-to-bottom edge separation at that x, and its gap is the
-    shortest vertical segment connecting it to the delta curve.  If all three
-    curves have a ``level_y`` (every B_1), all fibers are that one.  Else both
-    maxima get one refinement pass around the sampled argmax.  Values below
-    the x-inversion resolution of the fiber's own y scale are reported as 0.
-
-    Arrays screen, scalars decide.  Each pass of abscissas (the Lobatto
-    samples, then each refinement window) is screened at once by
-    ``_screen_fibers``, which settles a fiber as exactly (0.0, 0.0) only
-    when its screened length and gap are at most half the floor and every
-    other check holds by its margin.  Every other fiber is inverted in
-    scalars, in abscissa order, so the values, the argmax, the windows and
-    the first error are those of the scalar loop over every fiber.
+    The curve's slope is carried along: a linear atom f^k scales the offset
+    by |lam|^k and the slope by (lam/mu)^k, and a phi atom at p = (1 + x, y)
+    scales the offset by |det Dphi(p)| / |F_x + F_y * slope|, phi = (F, G),
+    and turns the slope into (G_x + G_y * slope) / (F_x + F_y * slope).  The
+    points are the ones ``MapWord.apply`` takes to the bit.
     """
-    edges = (box.top, box.bottom, box.delta)
-    levels = [handle.level_y(sys) for handle in edges]
-    if None not in levels:
-        return _fiber(*levels)
-    inset = 1e-6 * max(box.x_hi - box.x_lo, 1e-300)
-    # The refinement passes re-sample abscissas the first pass already has
-    # (both maxima often sit at the same sample), so each fiber is kept.
-    fibers: dict[float, tuple[float, float]] = {}
-
-    def sample(xs: np.ndarray) -> list[tuple[float, float]]:
-        new = [x for x in dict.fromkeys(map(float, xs)) if x not in fibers]
-        for x, settled in zip(new, _screen_fibers(sys, box, new)[0] if new else ()):
-            fibers[x] = (0.0, 0.0) if settled else _fiber(*(h.eval(sys, h.invert_x(sys, x))[1] for h in edges))
-        return [fibers[float(x)] for x in xs]
-
-    xs = _lobatto(box.x_lo + inset, box.x_hi - inset, _SAMPLES)
-    data = sample(xs)
-
-    def refined(select) -> float:
-        values = [select(d) for d in data]
-        span = _around(xs, int(np.argmax(values)))
-        sub = [select(d) for d in sample(_lobatto(*span, _SAMPLES))]
-        return max(max(values), max(sub))
-
-    return refined(lambda d: d[0]), refined(lambda d: d[1])
+    log_lam = math.log(abs(sys.lam))
+    gain, slope = 0.0, 0.0
+    for atom in atoms:
+        if atom[0] == "linear":
+            gain += atom[1] * log_lam
+            point, slope = apply_linear(sys, point, atom[1]), _scale_power(slope, sys.lam / sys.mu, atom[1])
+        else:
+            (fx, fy), (gx, gy) = _phi_jacobian(sys, point[0] - 1.0, point[1])
+            run = fx + fy * slope
+            gain += math.log(abs(fx * gy - fy * gx)) - math.log(abs(run))
+            point, slope = apply_phi(sys, point), (gx + gy * slope) / run
+    return gain
 
 
 def box_metrics(sys: ModelSystem, box: Box) -> tuple[float, float, float]:
-    """(W_k, H_k, L_k): horizontal width, largest vertical fiber length, and
-    largest vertical clearance between the box and the delta curve.  A B_1
-    takes them in closed form from its level edges; a deeper box screens its
-    fibers in arrays and inverts in scalars only those the screen cannot
-    settle as (0.0, 0.0), whose screened length and gap exceed half the
-    floor or which miss a margin.  Heights at deep words underflow to an
-    honest 0.0; the comparisons downstream remain valid."""
-    height, gap = _fiber_metrics(sys, box)
-    return box.x_hi - box.x_lo, height, gap
+    """(W_k, ln H_k, ln L_k): horizontal width, and the logs of the largest
+    vertical fiber length and of the largest vertical clearance between the
+    box and the delta curve below it.
+
+    Both vertical measures are transported to first order along the box's
+    word from its base segments, which are horizontal (``build_b1``): H
+    starts as top minus bottom and L as bottom minus delta, and each atom
+    adds the same log factor to both (``_offset_gain``) at the bottom
+    edge's images of its _SAMPLES Lobatto parameters; the largest sum is
+    taken.  A B_1 gets i_n ln|lam| plus the logs of its S_n's height and
+    bottom ordinate, exactly.
+
+    The premise is that the offsets are far below the curvature scale of
+    every atom, so the second-order term is negligible.  The expansion and
+    recurrence gates of ``run_cascade`` keep mu near 1, so i_n is in the
+    hundreds and the offsets, about |lam|^(i_n), lie hundreds of decades
+    below the O(1) scale of the maps; the second-order term is smaller than
+    the first by as much.  No edge is inverted and no handle evaluated.
+    """
+    bottom = box.bottom
+    gain = max(
+        _offset_gain(sys, box.word.atoms, bottom.base_point(float(s)))
+        for s in _lobatto(bottom.s_lo, bottom.s_hi, _SAMPLES)
+    )
+    y = bottom.start[1]
+    return box.x_hi - box.x_lo, math.log(abs(box.top.start[1] - y)) + gain, math.log(abs(y - box.delta.start[1])) + gain
 
 
 def max_edge_slope(sys: ModelSystem, box: Box) -> float:
@@ -512,7 +393,9 @@ def cascade_step(sys: ModelSystem, box: Box) -> tuple[Box, int, Box]:
 class CascadeResult:
     """Boxes actually built plus their metrics; k0 = len(boxes).  The
     ``violations`` list records any failed depth-ratio inequality
-    (W up 10x, H and L down 10x per step) instead of raising."""
+    (W up 10x, H and L down 10x per step) instead of raising.  H and L are
+    kept as natural logs (``log_heights``, ``log_dists``); ``heights`` and
+    ``dists`` are their exponentials, 0.0 below the double range."""
 
     n: int
     boxes: tuple[Box, ...]
@@ -522,6 +405,8 @@ class CascadeResult:
     u_exponents: tuple[int, ...]
     k0: int
     violations: tuple[str, ...]
+    log_heights: tuple[float, ...]
+    log_dists: tuple[float, ...]
 
 
 _MAX_DEPTH = 32
@@ -544,7 +429,7 @@ def run_cascade(sys: ModelSystem, n: int) -> CascadeResult:
             f"case {case.label} needs the mirrored rectangle; only the standard side is supported"
         )
     if not (_small_expansion(sys) and _short_recurrence(sys, tau_bounds(sys)[1])):
-        return CascadeResult(n, (), (), (), (), (), 0, ())
+        return CascadeResult(n, (), (), (), (), (), 0, (), (), ())
 
     sn = build_sn(sys, n)
     boxes = [build_b1(sys, sn)]
@@ -557,29 +442,33 @@ def run_cascade(sys: ModelSystem, n: int) -> CascadeResult:
         exponents.append(u)
         boxes.append(nxt)
 
-    widths, heights, dists = zip(*(box_metrics(sys, b) for b in boxes))
+    widths, log_heights, log_dists = zip(*(box_metrics(sys, b) for b in boxes))
     violations: list[str] = []
     slope_bound = _slope_cone(sys)[0]
     for b in boxes:
         slope = max_edge_slope(sys, b)
         if slope > slope_bound:
             violations.append(f"edge slope {slope:.3g} > eps^(5/2) at k={b.k}")
+    decade = math.log(10.0)
     for k in range(len(boxes) - 1):
         if not widths[k + 1] >= 10.0 * widths[k]:
             violations.append(f"W_{k + 2} < 10*W_{k + 1} ({widths[k + 1]:.3g} vs {widths[k]:.3g})")
-        if not heights[k + 1] <= 0.1 * heights[k]:
-            violations.append(f"H_{k + 2} > H_{k + 1}/10 ({heights[k + 1]:.3g} vs {heights[k]:.3g})")
-        if not dists[k + 1] <= 0.1 * dists[k]:
-            violations.append(f"L_{k + 2} > L_{k + 1}/10 ({dists[k + 1]:.3g} vs {dists[k]:.3g})")
+        for name, logs in (("H", log_heights), ("L", log_dists)):
+            if not logs[k + 1] <= logs[k] - decade:
+                violations.append(
+                    f"{name}_{k + 2} > {name}_{k + 1}/10 (log10 {logs[k + 1] / decade:.6g} vs {logs[k] / decade:.6g})"
+                )
     return CascadeResult(
         n=n,
         boxes=tuple(boxes),
         widths=widths,
-        heights=heights,
-        dists=dists,
+        heights=tuple(map(_saturated_exp, log_heights)),
+        dists=tuple(map(_saturated_exp, log_dists)),
         u_exponents=tuple(exponents),
         k0=len(boxes),
         violations=tuple(violations),
+        log_heights=log_heights,
+        log_dists=log_dists,
     )
 
 

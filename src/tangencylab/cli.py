@@ -520,7 +520,7 @@ def cmd_cascade(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[dict]]:
             except (*_UNREALIZED, SmallExpandingViolationError):
                 continue  # no B_1 at this level: no S_n, or it cannot return
             if res.k0 == 0:
-                rows.append((eps, n, 0, "", "", "", "", ""))
+                rows.append((eps, n, 0, "", "", "", "", "", "", ""))
                 break  # the gate is n-independent, this eps is hopeless
             try:
                 arcs = [count_crossing_arcs(sys_e, n, box) for box in res.boxes]
@@ -528,7 +528,8 @@ def cmd_cascade(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[dict]]:
                 arcs = None
             for k in range(res.k0):
                 u = res.u_exponents[k] if k < len(res.u_exponents) else ""
-                rows.append((eps, n, k + 1, res.widths[k], res.heights[k], res.dists[k], u, arcs[k] if arcs is not None else ""))
+                logs = (res.log_heights[k] / math.log(10.0), res.log_dists[k] / math.log(10.0))
+                rows.append((eps, n, k + 1, res.widths[k], res.heights[k], res.dists[k], u, arcs[k] if arcs is not None else "", *logs))
             good = res.k0 >= 2 and not res.violations and arcs is not None and all(a == 3 for a in arcs)
             if good and found is None:
                 found = {
@@ -544,7 +545,8 @@ def cmd_cascade(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[dict]]:
                 break
         if found is not None:
             break
-    _write_csv(out / "cascade.csv", ("eps", "n", "k", "width", "height", "dist", "u", "crossing_arcs"), rows)
+    header = ("eps", "n", "k", "width", "height", "dist", "u", "crossing_arcs", "log10_height", "log10_dist")
+    _write_csv(out / "cascade.csv", header, rows)
     results = {"witness": found}
     detail = (
         f"eps={found['eps']:g} n={found['n']} k0={found['k0']}"

@@ -18,11 +18,12 @@ invariant leaves at ``q`` cubic rather than quadratic.
 
 Everything downstream (return rectangles, slope transport, the box cascade,
 the conjugacy moduli) is built from the three primitives in this module:
-``apply_linear``, ``apply_phi``, ``jacobian_phi``.  The array screens of
-``returns`` and ``cascade`` take the model's rules from here, each with its own
-margin: saturation at ``_LOG_MIN``/``_LOG_MAX``, sign parity (``_flips_sign``),
-``_scale_powers``, ``in_uq`` on arrays, U(p)'s ``_chart_reach``, the log
-estimate ``_log_steps`` and the gate ``_small_expansion``.
+``apply_linear``, ``apply_phi``, ``jacobian_phi``.  The slope screen of
+``returns`` takes the model's rules from here, with its own margin:
+saturation at ``_LOG_MIN``/``_LOG_MAX``, sign parity (``_flips_sign``),
+``in_uq`` on arrays, U(p)'s ``_chart_reach``, the log estimate ``_log_steps``
+and the gate ``_small_expansion``.  The cascade's log-space heights read
+phi's partials (``_phi_jacobian``) and ``_saturated_exp``.
 """
 
 from __future__ import annotations
@@ -251,9 +252,9 @@ class ModelSystem:
         w = self._chart_reach
         return abs(point[0]) <= w and abs(point[1]) <= w
 
-    def in_uq(self, point: Point, margin: float = 0.0) -> bool:
-        """U(q) membership, also on arrays; a screen shrinks U(q) by its relative margin."""
-        w = (self.uq_half_width + _MEMBERSHIP_TOL) * (1.0 - margin)
+    def in_uq(self, point: Point) -> bool:
+        """U(q) membership, also on arrays."""
+        w = self.uq_half_width + _MEMBERSHIP_TOL
         return (abs(point[0] - 1.0) <= w) & (abs(point[1]) <= w)
 
     def in_ur(self, point: Point) -> bool:
@@ -284,19 +285,6 @@ def _scale_power(value: float, base: float, k: int) -> float:
     if _flips_sign(base, k):
         sign = -sign
     return sign * _saturated_exp(k * math.log(abs(base)) + math.log(abs(value)))
-
-
-def _scale_powers(values: np.ndarray, base: float, k: int, clear: np.ndarray | None, margin: float) -> np.ndarray:
-    """``_scale_power`` on an array, by numpy's log and exp.  The ``clear`` mask keeps the
-    values whose log-space power stays the margin below _LOG_MAX (np.exp saturates only
-    past 709.78) and off _LOG_MIN, so that they saturate as the scalar powers do."""
-    if abs(k) <= _DIRECT_POW_LIMIT:
-        return values * base**k
-    t = k * math.log(abs(base)) + np.log(np.abs(values))
-    if clear is not None:
-        clear &= (t < _LOG_MAX - margin) & (np.abs(t - _LOG_MIN) > margin)
-    power = np.copysign(np.exp(t) * (t >= _LOG_MIN), values)
-    return -power if _flips_sign(base, k) else power
 
 
 def _flips_sign(base: float, k):

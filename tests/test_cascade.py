@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,16 +7,20 @@ from hypothesis import strategies as st
 
 import tangencylab as tl
 from tangencylab.cascade import _SAMPLES, _lobatto, box_metrics, build_b1, cascade_step, max_edge_slope
-from tangencylab.numerics import _bisect
+from tangencylab.rects import level_range
+from tangencylab.returns import i_n
 
 
 def test_first_box_matches_fold_geometry(ref, sn10):
     b1 = build_b1(ref, sn10)
-    w, h, dist = box_metrics(ref, b1)
+    w, log_h, log_dist = box_metrics(ref, b1)
     assert w == pytest.approx(0.0013764572352941151, rel=1e-10)
-    # every y coordinate of B_1 is lam^{i_n} * O(1), far below double range
-    assert h == 0.0
-    assert dist == 0.0
+    # every y coordinate of B_1 is lam^{i_n} * O(1), far below double range,
+    # so its height and distance are |lam|^{i_n} times S_n's, in log space
+    log_lam = i_n(ref, 10) * math.log(abs(ref.lam))
+    assert log_h == pytest.approx(log_lam + math.log(sn10.rect.height), rel=1e-15)
+    assert log_dist == pytest.approx(log_lam + math.log(sn10.rect.y_lo), rel=1e-15)
+    assert log_h < log_dist < -745.0
 
 
 def test_cascade_level_12_frozen(cascade12):
@@ -24,16 +30,20 @@ def test_cascade_level_12_frozen(cascade12):
     assert cascade12.widths[1] == pytest.approx(0.02651806934129186, rel=1e-10)
     assert cascade12.heights == (0.0, 0.0)
     assert cascade12.dists == (0.0, 0.0)
+    log10 = math.log(10.0)
+    assert [h / log10 for h in cascade12.log_heights] == pytest.approx([-403.9722857355648, -641.8483461659071], rel=1e-12)
+    assert [d / log10 for d in cascade12.log_dists] == pytest.approx([-401.04825621035394, -638.9243166406962], rel=1e-12)
     assert cascade12.violations == ()
 
 
 def test_cascade_growth_inequalities(cascade12):
     # the content of the decade checks: widths expand tenfold, the vertical
-    # measures stay dominated
+    # measures shrink by far more than a decade (compared as logs, since
+    # their doubles underflow to 0.0)
     for k in range(cascade12.k0 - 1):
         assert cascade12.widths[k + 1] >= 10.0 * cascade12.widths[k]
-        assert cascade12.heights[k + 1] <= cascade12.heights[k] / 10.0 + 1e-300
-        assert cascade12.dists[k + 1] <= cascade12.dists[k] / 10.0 + 1e-300
+        assert cascade12.log_heights[k + 1] <= cascade12.log_heights[k] - 100.0 * math.log(10.0)
+        assert cascade12.log_dists[k + 1] <= cascade12.log_dists[k] - 100.0 * math.log(10.0)
 
 
 @pytest.mark.parametrize("n", [14, 16, 18])
@@ -93,25 +103,22 @@ def test_cascade_refuses_wide_expansion():
     assert res.violations == ()
 
 
-def test_box_metrics_evaluation_budget(ref, sn10, monkeypatch):
-    # An operation count, so it holds on any hardware: the 33 + 2 x 33 fibers
-    # of B_1 at level 10, inverted with its level closed form disabled (a B_1
-    # takes its metrics from level_y and evaluates nothing), need 2,201 edge
-    # evaluations with ITP inversions, each fiber computed once and each word
-    # applied once per base point of an inversion.  The bound fails without
-    # that memo (5,270) and with plain bisection of every fiber (17,498).
+def test_box_metrics_evaluation_budget(ref, monkeypatch):
+    # An operation count, so it holds on any hardware: box metrics walk the
+    # bottom edge's base points through the word themselves, so no box of
+    # the reference cascades at levels 8-18 inverts an edge or evaluates a
+    # handle, not even with the level edges' closed form disabled (a B_1
+    # took 2,201 evaluations when its fibers were inverted).
+    boxes = [box for n in level_range(ref, 8, 18) for box in tl.run_cascade(ref, n).boxes]
+    assert {box.k for box in boxes} == {1, 2}
     monkeypatch.setattr(tl.CurveHandle, "level_y", lambda self, sys: None)
     calls = []
-    original = tl.CurveHandle.eval
-
-    def counted(self, sys, s):
-        calls.append(s)
-        return original(self, sys, s)
-
-    box = build_b1(ref, sn10)
-    monkeypatch.setattr(tl.CurveHandle, "eval", counted)
-    box_metrics(ref, box)
-    assert len(calls) <= 2_400
+    for name in ("eval", "invert_x", "_point"):
+        original = getattr(tl.CurveHandle, name)
+        monkeypatch.setattr(tl.CurveHandle, name, lambda self, *args, _name=name, _original=original: calls.append(_name) or _original(self, *args))
+    for box in boxes:
+        box_metrics(ref, box)
+    assert calls == []
 
 
 @settings(max_examples=300, deadline=None)
@@ -128,50 +135,3 @@ def test_lobatto_sets_nest_bit_for_bit(lo, width, count):
     hi = lo + width
     coarse, fine = _lobatto(lo, hi, count), _lobatto(lo, hi, 2 * count - 1)
     assert coarse.view(np.int64).tolist() == fine[::2].view(np.int64).tolist()
-
-
-def _fiber_abscissas(box):
-    # the 33 abscissas of _fiber_metrics' first pass
-    inset = 1e-6 * max(box.x_hi - box.x_lo, 1e-300)
-    return [float(x) for x in _lobatto(box.x_lo + inset, box.x_hi - inset, _SAMPLES)]
-
-
-def test_invert_x_memo_is_exact(ref, sn10, cascade12):
-    # invert_x keeps the images of one call by base point; the root must be
-    # the same double as the search that applies the word at every trial s.
-    # Level 12 adds a box whose word passes through phi.
-    boxes = [build_b1(ref, sn10), *tl.run_cascade(ref, 10).boxes, *cascade12.boxes]
-    for box in boxes:
-        for handle in (box.top, box.bottom, box.delta):
-            for x in _fiber_abscissas(box):
-                plain = _bisect(lambda s: handle.eval(ref, s)[0] - x, handle.s_lo, handle.s_hi)
-                assert handle.invert_x(ref, x) == plain, (box.k, x)
-
-
-def test_box_metrics_inversion_budget_with_base_point_memo(ref, sn10, monkeypatch):
-    # The same 33 + 2 x 33 fibers of the level-10 B_1 as the 2,400 budget
-    # above, level closed form disabled, counted like the tracer's invert_x ->
-    # eval edge: applying each word once per base point of an inversion takes
-    # 2,009 evaluations over its 192 inversions (each fiber edge then
-    # evaluates its root once more); without the memo they take 5,078.
-    monkeypatch.setattr(tl.CurveHandle, "level_y", lambda self, sys: None)
-    inside, calls = [], []
-    original_eval, original_invert = tl.CurveHandle.eval, tl.CurveHandle.invert_x
-
-    def counted_eval(self, sys, s):
-        if inside:
-            calls.append(s)
-        return original_eval(self, sys, s)
-
-    def counted_invert(self, sys, x):
-        inside.append(x)
-        try:
-            return original_invert(self, sys, x)
-        finally:
-            inside.pop()
-
-    box = build_b1(ref, sn10)
-    monkeypatch.setattr(tl.CurveHandle, "eval", counted_eval)
-    monkeypatch.setattr(tl.CurveHandle, "invert_x", counted_invert)
-    box_metrics(ref, box)
-    assert len(calls) <= 2_100

@@ -1,7 +1,8 @@
 """What the linear chart decides without sampling: the level edges of B_1,
-the slope-free part of the return, and the array screens of the slope grid
-and of the cascade's box fibers.  Each shortcut must give the bits of the
-path it replaces, and the operation counts keep the real work visible."""
+the slope-free part of the return, the array screen of the slope grid and
+the cascade's box heights in log space.  Each shortcut must give the bits
+(or, for the heights, the values) of the path it replaces, and the
+operation counts keep the real work visible."""
 
 import functools
 import itertools
@@ -17,9 +18,9 @@ import pytest
 import tangencylab as tl
 from tangencylab import cascade, cli, rects, returns
 from tangencylab.cases import SIGN_CASES
-from tangencylab.cascade import Box, CurveHandle, MapWord, _fiber, _fiber_metrics, _lobatto, _screen_fibers, box_metrics, build_b1
+from tangencylab.cascade import CurveHandle, MapWord, _lobatto, box_metrics, build_b1
 from tangencylab.leaves import arc_height
-from tangencylab.model import _MEMBERSHIP_TOL, _phi_parts, _small_expansion
+from tangencylab.model import _MEMBERSHIP_TOL, _phi_parts, _saturated_exp, _small_expansion
 from tangencylab.rects import level_range
 from tangencylab.returns import ReturnFrame, SlopeGrid, _rescale_slope, _screen, _u0_image, return_frame, slope_through_return
 
@@ -47,19 +48,35 @@ def _b1_boxes(sys, n_range):
     return [build_b1(sys, tl.build_sn(sys, n)) for n in level_range(sys, *n_range)]
 
 
-def test_level_fibers_equal_the_inverted_fibers(ref, sweep0_systems, monkeypatch):
-    # The closed form against the 33 + 2 x 33 fibers that invert_x finds on
-    # every edge, bit for bit, on levels 8-18 of three systems.
+def _inverted_fibers(sys, box):
+    # (largest fiber length, largest gap to delta) over 33 abscissas inside
+    # the box, each edge inverted there and evaluated in doubles
+    inset = 1e-6 * (box.x_hi - box.x_lo)
+    lengths, gaps = [], []
+    for x in _lobatto(box.x_lo + inset, box.x_hi - inset, 33):
+        y_t, y_b, y_d = (h.eval(sys, h.invert_x(sys, float(x)))[1] for h in (box.top, box.bottom, box.delta))
+        lengths.append(abs(y_t - y_b))
+        gaps.append(abs(y_b - y_d))
+    return max(lengths), max(gaps)
+
+
+def test_level_fibers_equal_the_inverted_fibers(ref, sweep0_systems):
+    # The transported B_1 metrics against the fibers that invert_x finds on
+    # every edge, on levels 8-18 of three systems, as far as doubles hold
+    # them: within 1e-9 where normal (the inverted fibers subtract two
+    # log-space powers and carry errors up to about 5e-12 here), and within
+    # a few subnormal units below.
     cases = [(ref, box) for box in _b1_boxes(ref, (8, 18))]
     for cfg in sweep0_systems:
         cases += [(cfg.system, box) for box in _b1_boxes(cfg.system, cfg.n_range)]
     assert len(cases) == 33
-    closed = [_fiber_metrics(sys, box) for sys, box in cases]
-    monkeypatch.setattr(CurveHandle, "level_y", lambda self, sys: None)
-    explicit = [_fiber_metrics(sys, box) for sys, box in cases]
-    assert [_bits(c) for c in closed] == [_bits(e) for e in explicit]
+    inverted = [_inverted_fibers(sys, box) for sys, box in cases]
+    for (sys, box), want in zip(cases, inverted):
+        got = [_saturated_exp(v) for v in box_metrics(sys, box)[1:]]
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-9 * w + 2e-323, (box, g, w)
     # the comparison covers normal, subnormal and underflowed heights
-    heights = [c[0] for c in closed]
+    heights = [h for h, _ in inverted]
     assert min(h for h in heights if h > 0.0) < 2.3e-308 < max(heights)
     assert 0.0 in heights
 
@@ -91,14 +108,16 @@ def test_level_edges_have_slope_zero(ref, sn10, monkeypatch):
 
 
 def test_frozen_b1_levels_8_and_9(ref):
-    # recorded before the closed form: the only reference levels whose B_1
-    # heights and distances are still above the double range's floor
+    # The only reference levels whose B_1 heights and distances are still
+    # above the double range's floor.  The heights are |lam|^(i_n) times
+    # S_n's height at 60 digits, from the same doubles; the distances were
+    # recorded before the closed form.
     expected = {
-        8: (1.3583348964210243e-276, 1.0201303613399645e-274),
-        9: (9.461587790473467e-309, 1.3012416428100062e-306),
+        8: (1.3583348964275343e-276, 1.0201303613399645e-274),
+        9: (9.461587790493615e-309, 1.3012416428100062e-306),
     }
     for n, (height, dist) in expected.items():
-        _, h, d = box_metrics(ref, build_b1(ref, tl.build_sn(ref, n)))
+        h, d = map(_saturated_exp, box_metrics(ref, build_b1(ref, tl.build_sn(ref, n)))[1:])
         assert h > 0.0 and d > 0.0
         assert h == pytest.approx(height, rel=1e-12, abs=0.0)
         assert d == pytest.approx(dist, rel=1e-12, abs=0.0)
@@ -126,10 +145,10 @@ def test_b1_metrics_invert_nothing(ref, sn10, monkeypatch):
 
 
 def test_phi_box_metrics_budget(ref, cascade12, monkeypatch):
-    # B_2 at level 12 is the box whose word passes through phi.  The fiber
-    # screen settles all 64 of its fibers, so none is inverted in scalars:
-    # 0 inversions and 0 edge evaluations when measured (192 and 2,249
-    # when every fiber was inverted).
+    # B_2 at level 12 is the box whose word passes through phi.  Its
+    # heights are transported along the word from the base segments, so
+    # nothing is inverted or evaluated (192 inversions and 2,249 edge
+    # evaluations when every fiber was inverted in scalars).
     box = cascade12.boxes[1]
     assert ("phi",) in box.word.atoms
     inversions = _count_calls(monkeypatch, CurveHandle, "invert_x")
@@ -141,8 +160,8 @@ def test_phi_box_metrics_budget(ref, cascade12, monkeypatch):
 
 def test_cmd_cascade_inverts_only_the_cuts(tmp_path, monkeypatch):
     # One reference cascade command: four cut inversions in each of the
-    # cascade steps that reach the cut, 24 in all, and no fiber inversion
-    # (0 scalar fibers when measured).
+    # cascade steps that reach the cut, 24 in all; box metrics invert
+    # nothing.
     inversions = _count_calls(monkeypatch, CurveHandle, "invert_x")
     cli.cmd_cascade(cli.load_config(ROOT / "configs" / "reference.json"), tmp_path)
     assert len(inversions) <= 24
@@ -547,64 +566,12 @@ def test_jn_slope_check_recomputes_abscissas_at_the_sides_of_s_n(ref, monkeypatc
 
 
 @pytest.fixture(scope="module")
-def scalar_ordinates():
-    """ordinates(sys, box, x): the top, bottom and delta ordinates of the
-    box's fiber at x, each inverted in scalars once per module."""
-    kept, alive = {}, {}
-
-    def ordinates(sys, box, x):
-        # keyed by identity; holding the objects keeps their ids from reuse
-        alive[id(sys), id(box)] = sys, box
-        key = (id(sys), id(box), x)
-        if key not in kept:
-            kept[key] = tuple(handle.eval(sys, handle.invert_x(sys, x))[1] for handle in (box.top, box.bottom, box.delta))
-        return kept[key]
-
-    return ordinates
-
-
-def _first_pass(box):
-    # the 33 Lobatto abscissas of a box's first pass of fibers
-    inset = 1e-6 * max(box.x_hi - box.x_lo, 1e-300)
-    return [float(x) for x in _lobatto(box.x_lo + inset, box.x_hi - inset, 33)]
-
-
-def _scalar_fiber_metrics(sys, box, ordinates):
-    # _fiber_metrics as it ran before the screen: every fiber of every pass
-    # inverted in scalars, each abscissa once, the first error propagating
-    levels = [handle.level_y(sys) for handle in (box.top, box.bottom, box.delta)]
-    if None not in levels:
-        return _fiber(*levels)
-    fiber = functools.cache(lambda x: _fiber(*ordinates(sys, box, x)))
-    xs = _first_pass(box)
-    data = [fiber(x) for x in xs]
-
-    def refined(select):
-        values = [select(d) for d in data]
-        idx = int(np.argmax(values))
-        window = _lobatto(xs[max(idx - 1, 0)], xs[min(idx + 1, 32)], 33)
-        return max(max(values), max(select(fiber(float(x))) for x in window))
-
-    return refined(lambda d: d[0]), refined(lambda d: d[1])
-
-
-def _metrics_outcome(metrics, *args):
-    # the metrics' bits, or their error, as run_cascade would meet them
-    try:
-        return _bits(metrics(*args))
-    except tl.TangencyLabError as exc:
-        return f"{type(exc).__name__}: {exc}"
-
-
-@pytest.fixture(scope="module")
-def cascade_runs(grid_configs):
-    """(measured, built): (label, system, box) for every box whose metrics
-    run_cascade takes, and for every B_1 it builds, at every level and eps
-    of each grid system, in the order it meets them."""
-    measured, built = [], []
+def built_b1s(grid_configs):
+    """(label, system, box) for every B_1 that run_cascade builds, at every
+    level and eps of each grid system, in the order it meets them."""
+    built = []
     build_b1 = cascade.build_b1
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cascade, "_fiber_metrics", lambda sys, box: measured.append((label, sys, box)) or (0.0, 0.0))
         mp.setattr(cascade, "build_b1", lambda sys, sn: built.append((label, sys, build_b1(sys, sn))) or built[-1][2])
         for label, cfg in grid_configs.items():
             for eps in cfg.eps_grid:
@@ -614,21 +581,15 @@ def cascade_runs(grid_configs):
                         tl.run_cascade(sys, n)
                     except tl.TangencyLabError:
                         pass
-    return measured, built
+    return built
 
 
-@pytest.fixture(scope="module")
-def cascade_boxes(cascade_runs):
-    """(label, system, box) for every box whose metrics run_cascade takes."""
-    return cascade_runs[0]
-
-
-def test_b1_edges_are_x_monotone(cascade_runs):
+def test_b1_edges_are_x_monotone(built_b1s):
     # build_b1 checks no edge: its word of linear atoms maps x to mu^k x.
     # Both edges of every B_1 that run_cascade builds on the grid systems
     # pass the cut edges' check, on its samples and with its tolerance; in
     # fact no sample steps back at all.
-    _, built = cascade_runs
+    built = built_b1s
     for label, sys, box in built:
         for handle in (box.top, box.bottom):
             xs = [handle.eval(sys, float(s))[0] for s in _lobatto(handle.s_lo, handle.s_hi, cascade._SAMPLES)]
@@ -636,129 +597,3 @@ def test_b1_edges_are_x_monotone(cascade_runs):
             assert (np.diff(xs) * np.sign(xs[-1] - xs[0]) > 0.0).all(), label
     assert len(built) > 500
     assert {label.split()[0] for label, _, _ in built} >= {"reference", "sweep", "H1", "H2", "II_{++}", "II_{-+}"}
-
-
-def test_fiber_metrics_equal_the_scalar_loop(cascade_boxes, scalar_ordinates):
-    # Every B_k, k >= 2, of every grid system: B_2 words pass through phi
-    # once, the sweep's B_3 words twice.  (Every B_1 takes the closed form;
-    # the two tests of level_y-disabled B_1s cover those.)
-    cases = [(label, sys, box) for label, sys, box in cascade_boxes if box.k >= 2]
-    got = {i: (label, _metrics_outcome(_fiber_metrics, sys, box)) for i, (label, sys, box) in enumerate(cases)}
-    want = {i: (label, _metrics_outcome(_scalar_fiber_metrics, sys, box, scalar_ordinates)) for i, (label, sys, box) in enumerate(cases)}
-    assert got == want
-    phi_counts = [sum(atom[0] == "phi" for atom in box.word.atoms) for _, _, box in cases]
-    assert len(cases) > 250 and phi_counts.count(2) > 10
-    assert {label.split()[0] for label, _, _ in cases} >= {"reference", "sweep", "H1", "H2", "II_{++}"}
-
-
-def test_fiber_screen_gap_stays_below_the_margin(cascade_boxes, scalar_ordinates):
-    # The screened ordinates of every settled first-pass fiber lie within the
-    # margin over its stated factor of the scalar ones, relative to the
-    # fiber's y scale.
-    gaps = []
-    for _, sys, box in cascade_boxes:
-        if box.k < 2:
-            continue
-        xs = _first_pass(box)
-        settled, ys = _screen_fibers(sys, box, xs)
-        for j in np.flatnonzero(settled):
-            want = np.array(scalar_ordinates(sys, box, xs[j]))
-            gaps.append(np.abs(ys[:, j] - want).max() / np.abs(want).max())
-    gaps = np.array(gaps)
-    assert gaps.size > 9000
-    assert 0.0 < gaps.max() < cascade._FIBER_SCREEN_MARGIN / cascade._FIBER_SCREEN_FACTOR
-
-
-def test_level_disabled_b1_fibers_equal_the_scalar_loop(ref, sweep0_systems, scalar_ordinates, monkeypatch):
-    # The B_1s of test_level_fibers_equal_the_inverted_fibers through the
-    # screen: their words have linear atoms only, and their delta ordinate 0.0
-    # is no normal double, so every fiber is decided in scalars.
-    cases = [(ref, box) for box in _b1_boxes(ref, (8, 18))]
-    for cfg in sweep0_systems:
-        cases += [(cfg.system, box) for box in _b1_boxes(cfg.system, cfg.n_range)]
-    monkeypatch.setattr(CurveHandle, "level_y", lambda self, sys: None)
-    got = [_metrics_outcome(_fiber_metrics, sys, box) for sys, box in cases]
-    assert got == [_metrics_outcome(_scalar_fiber_metrics, sys, box, scalar_ordinates) for sys, box in cases]
-    heights = [float.fromhex(g[0]) for g in got]
-    assert min(h for h in heights if h > 0.0) < 2.3e-308 < max(heights)
-    assert 0.0 in heights
-
-
-@pytest.mark.parametrize("point, k0", [(-745.0, 600), (709.0, -600)])
-@pytest.mark.parametrize("lam", [0.3, -0.3])
-def test_word_images_keep_the_margin_off_saturation(ref, point, k0, lam):
-    # Ordinates whose log-space powers sit two margins and half a margin
-    # either side of a saturation point: the clear mask drops the ones within
-    # the margin and every power above _LOG_MAX - margin (numpy's exp
-    # saturates only past 709.78); the powers it keeps are the scalar ones,
-    # and odd and even k of a negative lam carry the scalar power's sign.
-    sys = replace(ref, saddle=replace(ref.saddle, lam=lam))
-    margin = cascade._FIBER_SCREEN_MARGIN
-    offsets = np.array([-2.0, -0.5, 0.5, 2.0])
-    for k in (k0, k0 + 1):
-        y = np.exp(point + offsets * margin - k * math.log(0.3))
-        word = (("linear", k),)
-        clear = np.ones(len(y), dtype=bool)
-        _, got = cascade._word_images(sys, word, np.ones(len(y)), y, clear)
-        assert clear.tolist() == ([True, False, False, True] if point < 0.0 else [True, False, False, False])
-        want = np.array([MapWord(word).apply(sys, (1.0, float(v)))[1] for v in y])
-        assert (np.sign(got) == np.sign(want)).all()
-        assert got[clear] == pytest.approx(want[clear], rel=1e-12)
-        # without a mask the powers are the same
-        assert (cascade._word_images(sys, word, np.ones(len(y)), y)[1] == got).all()
-
-
-@pytest.mark.parametrize("inside, settles", [(2.0, True), (0.5, False)])
-def test_fiber_screen_keeps_phi_inputs_the_margin_inside_uq(ref, scalar_ordinates, inside, settles):
-    # Three coincident edges under a lone phi atom, so every fiber is
-    # (0.0, 0.0) and settles unless a check fails: with the edges two
-    # margins inside U(q)'s top edge every fiber settles, and with them half
-    # a margin inside none does.  Either way the metrics are the scalar ones.
-    y = (ref.uq_half_width + _MEMBERSHIP_TOL) * (1.0 - inside * cascade._FIBER_SCREEN_MARGIN)
-    edge = CurveHandle((0.99, y), (1.01, y), MapWord((("phi",),)))
-    x_lo, x_hi = sorted(edge.eval(ref, s)[0] for s in (0.0, 1.0))
-    box = Box("parallelogram-like", x_lo, x_hi, edge, edge, edge, k=2)
-    settled, _ = _screen_fibers(ref, box, _first_pass(box))
-    assert settled.all() if settles else not settled.any()
-    assert _metrics_outcome(_fiber_metrics, ref, box) == _metrics_outcome(_scalar_fiber_metrics, ref, box, scalar_ordinates) == _bits([0.0, 0.0])
-
-
-def _floor_boxes(sys, sn):
-    # The level-10 B_1's abscissas and word, with its edges lifted so that
-    # their images and the fiber lengths are normal doubles (its own
-    # ordinates underflow to 0.0): a top near 1e-289 rising by half across
-    # the box, and a bottom and a delta, on padded base segments so their
-    # roots are other doubles, (1 + shift) floors and twice that below it.
-    b1 = build_b1(sys, sn)
-    (x0, _), (x1, _) = b1.top.start, b1.top.end
-    pad = 0.25 * (x1 - x0)
-
-    def edge(lo, hi, scale):
-        level = lambda x: scale * 1e48 * (1.0 + 0.5 * (x - x0) / (x1 - x0))
-        return CurveHandle((lo, level(lo)), (hi, level(hi)), b1.word)
-
-    floor = cascade._FIBER_RESOLUTION
-    return [
-        Box("rectangle-like", b1.x_lo, b1.x_hi, edge(x0, x1, 1.0), edge(x0 - pad, x1 + pad, 1.0 - floor * (1.0 + shift)),
-            edge(x0 - pad, x1 + pad, 1.0 - 2.0 * floor * (1.0 + shift)), k=1)
-        for shift in (-1e-4, 0.0, 1e-4)
-    ]
-
-
-def test_fiber_metrics_at_the_clamp_floor(ref, sn10, scalar_ordinates):
-    # Fiber lengths and gaps within 1e-12 of the y scale around the floor,
-    # on both sides: the screen must leave all of them to the scalar clamp.
-    boxes = _floor_boxes(ref, sn10)
-    offsets = []
-    for box in boxes:
-        for x in _first_pass(box):
-            y_t, y_b, y_d = scalar_ordinates(ref, box, x)
-            floor = cascade._FIBER_RESOLUTION * max(abs(y_t), abs(y_b), abs(y_d))
-            offsets += [(y_t - y_b - floor) / y_t, (y_b - y_d - floor) / y_t]
-    assert max(map(abs, offsets)) < 1e-12
-    assert min(offsets) < 0.0 < max(offsets)
-    got = [_metrics_outcome(_fiber_metrics, ref, box) for box in boxes]
-    assert got == [_metrics_outcome(_scalar_fiber_metrics, ref, box, scalar_ordinates) for box in boxes]
-    # the clamp keeps some maxima and zeroes others
-    values = [float.fromhex(v) for g in got for v in g]
-    assert 0.0 in values and max(values) > 0.0
