@@ -24,7 +24,8 @@ saturated exponentials.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,8 +70,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MapWord:
+class MapWord(NamedTuple):
     """A composition of chart maps: atoms ("linear", k) and ("phi",), applied
     left to right.  Kept symbolic so a curve can be re-sampled at full
     precision at any depth."""
@@ -92,25 +92,23 @@ class MapWord:
         return p
 
 
-@dataclass(frozen=True)
 class CurveHandle:
     """A curve = MapWord applied to a straight base segment.
 
     The global parameter s in [0, 1] runs along the base segment; the handle
     itself may be restricted to [s_lo, s_hi] (cascade cuts shrink edges
-    without losing the original geometry).
+    without losing the original geometry).  A plain class with slots, not
+    a tuple: ``eval`` is the cascade's hot path, and each handle keeps its
+    own ``_points``.  Handles compare by identity.
     """
 
-    start: Point
-    end: Point
-    word: MapWord = field(default_factory=MapWord)
-    s_lo: float = 0.0
-    s_hi: float = 1.0
-    _points: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    __slots__ = ("start", "end", "word", "s_lo", "s_hi", "_points")
 
-    def __post_init__(self):
-        if not (0.0 <= self.s_lo < self.s_hi <= 1.0):
-            raise DomainError(f"handle parameter range [{self.s_lo}, {self.s_hi}] invalid")
+    def __init__(self, start: Point, end: Point, word: MapWord = MapWord(), s_lo: float = 0.0, s_hi: float = 1.0):
+        if not (0.0 <= s_lo < s_hi <= 1.0):
+            raise DomainError(f"handle parameter range [{s_lo}, {s_hi}] invalid")
+        self.start, self.end, self.word, self.s_lo, self.s_hi = start, end, word, s_lo, s_hi
+        self._points: dict = {}
 
     def base_point(self, s: float) -> Point:
         return (
@@ -185,28 +183,23 @@ def _x_monotone(xs: list[float]) -> bool:
     return all((b - a) * direction >= -tol for a, b in zip(xs, xs[1:]))
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(namedtuple("Box", "kind x_lo x_hi top bottom delta k")):
     """One cascade box.  Vertical sides at x_lo/x_hi; top and bottom are
     curve handles over that abscissa range; delta is the unstable reference
     curve below the box (the image of a padded y = 0 segment under the same
     word), used for the distance metric L_k."""
 
-    kind: str
-    x_lo: float
-    x_hi: float
-    top: CurveHandle
-    bottom: CurveHandle
-    delta: CurveHandle
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in ("rectangle-like", "parallelogram-like"):
             raise DomainError(f"unknown box kind {self.kind!r}")
         if not self.x_lo <= self.x_hi:
             raise DomainError("box abscissas out of order")
         if self.k < 1:
             raise DomainError("cascade index starts at 1")
+        return self
 
     @property
     def word(self) -> MapWord:
@@ -389,8 +382,7 @@ def cascade_step(sys: ModelSystem, box: Box) -> tuple[Box, int, Box]:
     return cut, u, nxt
 
 
-@dataclass(frozen=True)
-class CascadeResult:
+class CascadeResult(NamedTuple):
     """Boxes actually built plus their metrics; k0 = len(boxes).  The
     ``violations`` list records any failed depth-ratio inequality
     (W up 10x, H and L down 10x per step) instead of raising.  H and L are

@@ -9,8 +9,8 @@ what the return machinery needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from collections import namedtuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError
 
@@ -39,19 +39,17 @@ def _sign(v: float, name: str) -> int:
     raise DomainError(f"{name} must be nonzero to classify")
 
 
-@dataclass(frozen=True)
-class SignCase:
+class SignCase(namedtuple("SignCase", "sign_a sign_bc sign_lam sign_mu")):
     """One of the sixteen sign patterns (a, bc, lam, mu)."""
 
-    sign_a: int
-    sign_bc: int
-    sign_lam: int
-    sign_mu: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("sign_a", "sign_bc", "sign_lam", "sign_mu"):
-            if getattr(self, name) not in (-1, 1):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, sign in zip(self._fields, self):
+            if sign not in (-1, 1):
                 raise DomainError(f"{name} must be +1 or -1")
+        return self
 
     @property
     def family(self) -> str:
@@ -63,8 +61,7 @@ class SignCase:
         return f"{self.family}_{{{subs}}}"
 
 
-@dataclass(frozen=True)
-class Adaptability:
+class Adaptability(NamedTuple):
     """Whether and how the rectangle construction applies to a sign case:
     the one record that turns the four signs into the levels the walkers
     visit, the f-power whose eigenvalues are positive and the region."""

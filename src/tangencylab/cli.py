@@ -14,8 +14,9 @@ import hashlib
 import json
 import math
 import sys as _sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,8 +76,7 @@ _TOLERANCE_DEFAULTS: dict[str, float] = {
 }
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     """Parsed experiment description; every field has a reference default."""
 
     system: ModelSystem
@@ -263,6 +263,8 @@ def _write_csv(path: Path, header, rows) -> None:
 def _jsonable(v):
     if isinstance(v, float):
         return v if math.isfinite(v) else format(v, "g")
+    if isinstance(v, tuple) and hasattr(v, "_fields"):  # a record, which json.dumps would write as a list
+        raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
     if isinstance(v, (list, tuple)):
         return [_jsonable(x) for x in v]
     if isinstance(v, dict):
@@ -270,8 +272,7 @@ def _jsonable(v):
     return v
 
 
-@dataclass(frozen=True)
-class Series:
+class Series(NamedTuple):
     """One polyline of a plot; ``slope_label`` is its slope annotation in the legend."""
 
     label: str
@@ -280,8 +281,7 @@ class Series:
     slope_label: str
 
 
-@dataclass(frozen=True)
-class Axes:
+class Axes(NamedTuple):
     x_label: str
     y_label: str
     title: str = ""

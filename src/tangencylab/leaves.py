@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,8 +74,7 @@ class SeedArc:
         return (self.domain[0] - _MEMBERSHIP_TOL <= x) & (x <= self.domain[1] + _MEMBERSHIP_TOL)
 
 
-@dataclass(frozen=True)
-class ArcPoint:
+class ArcPoint(NamedTuple):
     """A point of the n-th image arc."""
 
     n: int

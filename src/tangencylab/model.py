@@ -29,8 +29,9 @@ phi's partials (``_phi_jacobian``) and ``_saturated_exp``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from collections import namedtuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -161,18 +162,16 @@ class TransitionSpec:
         return sorted({(i, j) for i, j, coef in self.h2_terms if (i, j) in _H2_FORBIDDEN and coef != 0.0})
 
 
-@dataclass(frozen=True)
-class Rect:
+class Rect(namedtuple("Rect", "x_lo x_hi y_lo y_hi")):
     """Closed axis-aligned rectangle."""
 
-    x_lo: float
-    x_hi: float
-    y_lo: float
-    y_hi: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (self.x_lo <= self.x_hi and self.y_lo <= self.y_hi):
             raise DomainError("rectangle bounds out of order")
+        return self
 
     @property
     def width(self) -> float:
@@ -388,17 +387,15 @@ def jacobian_phi(sys: ModelSystem, point: Point) -> np.ndarray:
     return np.array(_phi_jacobian(sys, point[0] - 1.0, point[1]))
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(NamedTuple):
     name: str
     passed: bool
     measured: str
     detail: str = ""
 
 
-@dataclass
-class ConditionReport:
-    entries: list[Condition] = field(default_factory=list)
+class ConditionReport(NamedTuple):
+    entries: list[Condition]
 
     @property
     def ok(self) -> bool:
@@ -471,7 +468,7 @@ def _short_recurrence(sys: ModelSystem, tau1: float) -> bool:
 def validate(sys: ModelSystem) -> ConditionReport:
     """Check the standing hypotheses and return a report (never raises for a
     merely invalid system; each failure is a named entry)."""
-    rep = ConditionReport()
+    rep = ConditionReport([])
     lam, mu = sys.lam, sys.mu
     t = sys.transition
 

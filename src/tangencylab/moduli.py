@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,8 +47,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ReturnRecord:
+class ReturnRecord(NamedTuple):
     """One level of the return bookkeeping.
 
     ``r_n`` is the arc image phi(alpha_n(0)), ``m_n`` the number of saddle
@@ -190,8 +191,7 @@ def power_fit(points) -> tuple[float, float]:
     return float(math.exp(log_c)), float(tau)
 
 
-@dataclass(frozen=True)
-class ConjugacyPair:
+class ConjugacyPair(namedtuple("ConjugacyPair", "sys_0 sys_1 h_scale m0_shift")):
     """Two systems tied by the diagonal chart map h(x, y) = (hx*x, hy*y).
 
     ``m0_shift`` is the difference of transition step counts; the defining
@@ -201,15 +201,14 @@ class ConjugacyPair:
     non-example.
     """
 
-    sys_0: ModelSystem
-    sys_1: ModelSystem
-    h_scale: tuple[float, float]
-    m0_shift: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         hx, hy = self.h_scale
         if hx == 0.0 or hy == 0.0 or not (math.isfinite(hx) and math.isfinite(hy)):
             raise DomainError("conjugacy scales must be finite and nonzero")
+        return self
 
     def h(self, point: Point) -> Point:
         return (self.h_scale[0] * point[0], self.h_scale[1] * point[1])
@@ -389,8 +388,7 @@ def intersection_check(pair: ConjugacyPair, n: int) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class OrderProbeReport:
+class OrderProbeReport(NamedTuple):
     """Return exponents probed along a dyadic approach to q on W^u(p).
 
     ``ratios`` are |mu|^-l_j / x_j^3; for a cubic tangency they stay inside

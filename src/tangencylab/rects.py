@@ -16,8 +16,7 @@ roots of polynomials, counted and polished by ``numerics.real_roots``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -156,8 +155,7 @@ def extended_params(sys: ModelSystem, n: int, t_minus: float, t_plus: float) -> 
     return ext_minus[-1] * scale, ext_plus[0] * scale
 
 
-@dataclass(frozen=True)
-class SnRectangle:
+class SnRectangle(NamedTuple):
     """Fold rectangle at level n with the parameters that carved it.
 
     ``fold_points`` are the images of (t_ext_minus, t_minus, t_plus,

@@ -12,8 +12,10 @@ horizontal by the (lam/mu)^k factor of the linear part.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from dataclasses import replace
 from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,16 +78,16 @@ __all__ = [
 VERTICAL = math.inf
 
 
-@dataclass(frozen=True)
-class SlopedPoint:
+class SlopedPoint(namedtuple("SlopedPoint", "point slope")):
     """A point together with the |dy/dx| slope of a tracked direction."""
 
-    point: Point
-    slope: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if math.isnan(self.slope) or self.slope < 0.0:
             raise DomainError(f"slope must be a nonnegative number, got {self.slope}")
+        return self
 
 
 def _return_window(sys: ModelSystem) -> tuple[float, float]:
@@ -158,8 +160,7 @@ def _rescale_slope(sys: ModelSystem, slope: float, k: int) -> float:
     return _saturated_exp(math.log(slope) + k * (math.log(abs(sys.lam)) - math.log(abs(sys.mu))))
 
 
-@dataclass(frozen=True)
-class ReturnFrame:
+class ReturnFrame(NamedTuple):
     """At ``point``: phi's Jacobian, the return (k, point) and R_eps membership."""
 
     point: Point
@@ -231,8 +232,7 @@ _SCREEN_FACTOR = 1e4
 _SCREEN_DELTA = 1e-9
 
 
-@dataclass(frozen=True)
-class SlopeGrid:
+class SlopeGrid(NamedTuple):
     """The slope lemma on a grid of start points of R_eps: ``shape`` is
     (abscissas, ordinates, slopes per point); the maxima run over the
     transports that are no counterexample."""
@@ -243,8 +243,7 @@ class SlopeGrid:
     max_returned: float
 
 
-@dataclass(frozen=True)
-class _Screen:
+class _Screen(NamedTuple):
     """The slope grid as arrays, cell i at (x[i], y[i]) and slope j at
     column j.  Logs are natural logs of magnitudes: ``log_x``/``log_y`` of
     the returned point, ``log_inter`` of the intermediate slope and
@@ -422,8 +421,7 @@ def i_n(sys: ModelSystem, n: int) -> int:
     return k
 
 
-@dataclass(frozen=True)
-class BetaArc:
+class BetaArc(NamedTuple):
     """Parameter slice of the n-th fold whose f^j image sweeps abscissas
     [0, s]; j is the exponent windowing the fold tip distance.
 
@@ -487,8 +485,7 @@ def beta_arc(sys: ModelSystem, n: int, s: float) -> BetaArc:
     )
 
 
-@dataclass(frozen=True)
-class JnSlopeReport:
+class JnSlopeReport(NamedTuple):
     """Outcome of sampling the returned branch for near-horizontality."""
 
     n: int
@@ -547,8 +544,7 @@ def jn_slope_check(sys: ModelSystem, n: int, s: float) -> JnSlopeReport:
     )
 
 
-@dataclass(frozen=True)
-class SlopeSearchResult:
+class SlopeSearchResult(NamedTuple):
     """Witness of a grid search for an abscissa cap with certified slopes."""
 
     s: float

@@ -5,8 +5,12 @@ diff every output.
 
 Each config is written once to WORK_DIR/configs, without ``output_dir``,
 and run in each checkout (its ``src`` on PYTHONPATH) from WORK_DIR/<side>
-with ``--out <name>``, so the report paths printed on stdout agree.  Every
-output file, stdout, stderr and the exit code are compared byte for byte.
+with ``--out <name>``, so the report paths printed on stdout agree.  The
+old side runs with PYTHONHASHSEED=1 and the new side with 2: string hashes
+differ between the sides but are fixed on each, so output that depends on
+the order of a set of strings shows on every comparison, not by chance.
+Every output file, stdout, stderr and the exit code are
+compared byte for byte.
 The script prints each config that differs and what differs, and exits 1
 when any does.  WORK_DIR defaults to a new temporary directory, which is
 kept for inspection.
@@ -83,9 +87,13 @@ def comparison_configs() -> dict[str, dict]:
     return configs
 
 
+# String hash seed of each side's runs.
+HASH_SEEDS = {"old": "1", "new": "2"}
+
+
 def _run(checkout: Path, config: Path, side_dir: Path, name: str) -> dict[str, bytes]:
     """Every output of one run: its files, stdout, stderr and exit code."""
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONHASHSEED=HASH_SEEDS[side_dir.name])
     proc = subprocess.run(
         [sys.executable, "-m", "tangencylab.cli", "all", "--config", str(config), "--out", name],
         cwd=side_dir, env=env, capture_output=True,

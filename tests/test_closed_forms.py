@@ -9,7 +9,7 @@ import itertools
 import json
 import math
 from collections import Counter
-from dataclasses import astuple, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -508,7 +508,7 @@ def _searched_levels(sys):
 
 
 def _report_bits(report):
-    return tuple(v.hex() if isinstance(v, float) else v for v in astuple(report))
+    return tuple(v.hex() if isinstance(v, float) else v for v in tuple(report))
 
 
 def test_jn_slope_check_equals_the_scalar_loop(grid_configs, tilted):
@@ -559,7 +559,7 @@ def test_jn_slope_check_recomputes_abscissas_at_the_sides_of_s_n(ref, monkeypatc
     array = rects.fold_x(ref, n, ts)
     scalar = np.array([rects.fold_point(ref, n, float(t))[0] for t in ts])
     i = np.flatnonzero(array != scalar)[0]
-    moved = replace(beta, s_n_minus=max(array[i], scalar[i]))
+    moved = beta._replace(s_n_minus=max(array[i], scalar[i]))
     monkeypatch.setattr(returns, "beta_arc", lambda sys, n, s: moved)
     want = _scalar_jn_slope_check(ref, n, s)[0]
     assert _report_bits(returns.jn_slope_check(ref, n, s)) == _report_bits(want)
