@@ -10,7 +10,10 @@ R_eps, and the number of boxes built is k0.
 
 Curves are never discretized destructively: box edges are *handles*, a
 straight base segment plus a word of maps evaluated on demand, so every
-metric can be re-sampled at full precision at any depth.
+metric can be re-sampled at full precision at any depth.  Samples that feed
+only decisions (the monotonicity and escape scans, the edge slopes, the
+crossing arcs) are evaluated on arrays (``MapWord.images``); every number
+that is reported is evaluated in scalars (``MapWord.apply``).
 
 The vertical measures live in log space.  A box sits at about |lam|^(i_n)
 above the unstable axis (1e-401 at reference level 12), so its top, bottom
@@ -38,13 +41,16 @@ from .errors import (
     NumericError,
     WrongQuadrantError,
 )
+from .leaves import _in_window, _pullback, arc_height
 from .model import (
     _MEMBERSHIP_TOL,
     ModelSystem,
     Point,
     _phi_jacobian,
+    _phi_parts,
     _saturated_exp,
     _scale_power,
+    _scale_powers,
     _short_recurrence,
     _small_expansion,
     apply_linear,
@@ -91,6 +97,22 @@ class MapWord(NamedTuple):
                 raise DomainError(f"unknown map atom {atom[0]!r}")
         return p
 
+    def images(self, sys: ModelSystem, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+        """``apply`` on arrays of points, or None where ``apply`` would raise:
+        a phi atom's input leaves U(q) somewhere, or an atom is unknown.
+        numpy's exp and power do not round like libm's, so an image may
+        differ from ``apply``'s in its last bits, and each phi atom amplifies
+        that by its condition number: the samplers take their decisions on
+        these, and every number that is reported comes from ``apply``."""
+        for atom in self.atoms:
+            if atom[0] == "linear":
+                x, y = _scale_powers(x, sys.mu, atom[1]), _scale_powers(y, sys.lam, atom[1])
+            elif atom[0] == "phi" and np.all(sys.in_uq((x, y))):
+                x, y = _phi_parts(sys, x - 1.0, y)
+            else:
+                return None
+        return x, y
+
 
 class CurveHandle:
     """A curve = MapWord applied to a straight base segment.
@@ -98,19 +120,20 @@ class CurveHandle:
     The global parameter s in [0, 1] runs along the base segment; the handle
     itself may be restricted to [s_lo, s_hi] (cascade cuts shrink edges
     without losing the original geometry).  A plain class with slots, not
-    a tuple: ``eval`` is the cascade's hot path, and each handle keeps its
-    own ``_points``.  Handles compare by identity.
+    a tuple; handles compare by identity.  ``eval`` gives the points that
+    are reported, the box vertices and the cuts; the cascade's samplers
+    evaluate the word on arrays (``_edge_points``).
     """
 
-    __slots__ = ("start", "end", "word", "s_lo", "s_hi", "_points")
+    __slots__ = ("start", "end", "word", "s_lo", "s_hi")
 
     def __init__(self, start: Point, end: Point, word: MapWord = MapWord(), s_lo: float = 0.0, s_hi: float = 1.0):
         if not (0.0 <= s_lo < s_hi <= 1.0):
             raise DomainError(f"handle parameter range [{s_lo}, {s_hi}] invalid")
         self.start, self.end, self.word, self.s_lo, self.s_hi = start, end, word, s_lo, s_hi
-        self._points: dict = {}
 
     def base_point(self, s: float) -> Point:
+        """The base segment's point at s; ``s`` may be a numpy array."""
         return (
             self.start[0] + s * (self.end[0] - self.start[0]),
             self.start[1] + s * (self.end[1] - self.start[1]),
@@ -121,14 +144,6 @@ class CurveHandle:
             raise DomainError(f"s={s:g} outside handle range [{self.s_lo:g}, {self.s_hi:g}]")
         return self.word.apply(sys, self.base_point(s))
 
-    def _point(self, sys: ModelSystem, s: float) -> Point:
-        """``eval`` at s, kept on the handle per (system, s): the cascade's edge samplers read here."""
-        s = float(s)
-        point = self._points.get((sys, s))
-        if point is None:
-            point = self._points[sys, s] = self.eval(sys, s)
-        return point
-
     def level_y(self, sys: ModelSystem) -> float | None:
         """The one ordinate of a horizontal base segment under linear atoms
         only, taken from a base point as ``eval`` takes it; else None."""
@@ -137,10 +152,10 @@ class CurveHandle:
         return self.word.apply(sys, self.base_point(self.s_lo))[1]
 
     def endpoints(self, sys: ModelSystem) -> tuple[Point, Point]:
-        return self._point(sys, self.s_lo), self._point(sys, self.s_hi)
+        return self.eval(sys, self.s_lo), self.eval(sys, self.s_hi)
 
     def restricted(self, s_a: float, s_b: float) -> "CurveHandle":
-        """The handle on [s_a, s_b]; itself, with its points, when that is its own range."""
+        """The handle on [s_a, s_b]; itself when that is its own range."""
         lo, hi = (s_a, s_b) if s_a <= s_b else (s_b, s_a)
         return self if (lo, hi) == (self.s_lo, self.s_hi) else CurveHandle(self.start, self.end, self.word, lo, hi)
 
@@ -175,12 +190,12 @@ def _lobatto(lo: float, hi: float, count: int) -> np.ndarray:
 _SAMPLES = 33
 
 
-def _x_monotone(xs: list[float]) -> bool:
-    """Whether sampled abscissas run one way, no step back by more than 1e-12 of the span."""
+def _x_monotone(xs) -> bool:
+    """Whether sampled abscissas (a sequence or an array) run one way, no step back by more than 1e-12 of the span."""
     span = xs[-1] - xs[0]
     direction = math.copysign(1.0, span) if span != 0.0 else 1.0
     tol = 1e-12 * max(abs(span), 1e-300)
-    return all((b - a) * direction >= -tol for a, b in zip(xs, xs[1:]))
+    return bool(np.all(np.diff(xs) * direction >= -tol))
 
 
 class Box(namedtuple("Box", "kind x_lo x_hi top bottom delta k")):
@@ -229,16 +244,25 @@ def build_b1(sys: ModelSystem, sn: SnRectangle) -> Box:
     return Box("rectangle-like", xs[0], xs[1], top, bottom, delta, k=1)
 
 
-def _edge_samples(sys: ModelSystem, handle: CurveHandle, count: int = 2 * _SAMPLES - 1) -> list[Point]:
-    """The handle's images at ``count`` Lobatto parameters of its range (the default scan holds the _SAMPLES set)."""
-    return [handle._point(sys, s) for s in _lobatto(handle.s_lo, handle.s_hi, count)]
+def _edge_points(sys: ModelSystem, handle: CurveHandle, count: int = 2 * _SAMPLES - 1) -> np.ndarray:
+    """(xs, ys): the handle's images at ``count`` Lobatto parameters of its
+    range, by ``MapWord.images``, for decisions only.  Where ``images``
+    gives up, the samples take the scalar path, which raises its error."""
+    ss = _lobatto(handle.s_lo, handle.s_hi, count)
+    images = handle.word.images(sys, *handle.base_point(ss))
+    return np.array([handle.eval(sys, float(s)) for s in ss]).T if images is None else np.array(images)
 
 
-def _edge_ys(sys: ModelSystem, handle: CurveHandle) -> list[float]:
-    """The handle's one level ordinate, else the ordinates of the edge samples ``max_edge_slope`` reads."""
-    if (y := handle.level_y(sys)) is not None:
-        return [y]
-    return [p[1] for p in _edge_samples(sys, handle)]
+def _branch_points(sys: ModelSystem, n: int, word: MapWord, ts: np.ndarray) -> np.ndarray:
+    """(xs, ys): the word's images of the n-th fold's points at the
+    parameters ts, on arrays like ``_edge_points``.  When a sample leaves
+    the arc window, the seed domain or U(q), the samples take the scalar
+    path, ``fold_point`` and ``MapWord.apply``, which raises its error."""
+    if np.all(_in_window(sys, ts) & sys.seed.contains(_pullback(sys, n, ts))):
+        images = word.images(sys, *_phi_parts(sys, ts, arc_height(sys, n, ts)))
+        if images is not None:
+            return np.array(images)
+    return np.array([word.apply(sys, fold_point(sys, n, float(t))) for t in ts]).T
 
 
 def _offset_gain(sys: ModelSystem, atoms: tuple[tuple, ...], point: Point) -> float:
@@ -295,18 +319,17 @@ def box_metrics(sys: ModelSystem, box: Box) -> tuple[float, float, float]:
 
 
 def max_edge_slope(sys: ModelSystem, box: Box) -> float:
-    """Largest |dy/dx| between consecutive samples of the long edges; 0.0 on a level edge."""
+    """Largest |dy/dx| between consecutive samples of the long edges (NaNs
+    skipped); 0.0 on a level edge, inf on a vertical step."""
     worst = 0.0
     for handle in (box.top, box.bottom):
         if handle.level_y(sys) is not None:
             continue
-        pts = _edge_samples(sys, handle)
-        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-            if x1 == x0:
-                if y1 != y0:
-                    return math.inf
-                continue
-            worst = max(worst, abs((y1 - y0) / (x1 - x0)))
+        dx, dy = np.diff(_edge_points(sys, handle))
+        run = dx != 0.0
+        if np.any(~run & (dy != 0.0)):
+            return math.inf
+        worst = float(np.fmax.reduce(np.abs(dy[run] / dx[run]), initial=worst))
     return worst
 
 
@@ -340,7 +363,7 @@ def cascade_step(sys: ModelSystem, box: Box) -> tuple[Box, int, Box]:
 
     cuts = [handle.extended_word(("phi",)) for handle in (box.top, box.bottom)]
     for handle in cuts:
-        edge_xs = [p[0] for p in _edge_samples(sys, handle, _SAMPLES)]
+        edge_xs = _edge_points(sys, handle, _SAMPLES)[0]
         if edge_xs[-1] - edge_xs[0] == 0.0:
             raise NumericError("edge image collapsed to a single abscissa")
         if not _x_monotone(edge_xs):
@@ -375,10 +398,10 @@ def cascade_step(sys: ModelSystem, box: Box) -> tuple[Box, int, Box]:
             f"[{target.x_lo:.6g}, {target.x_hi:.6g}] (u_{box.k}={u})"
         )
     for handle in (nxt.top, nxt.bottom):
-        for s in _lobatto(handle.s_lo, handle.s_hi, _SAMPLES):
-            y = handle._point(sys, s)[1]
-            if y < target.y_lo - tol or y > target.y_hi + tol:
-                raise CascadeEnd(f"B_{nxt.k} escapes R_eps vertically (y={y:.6g}, u_{box.k}={u})")
+        ys = _edge_points(sys, handle, _SAMPLES)[1]
+        escaped = (ys < target.y_lo - tol) | (ys > target.y_hi + tol)
+        if escaped.any():
+            raise CascadeEnd(f"B_{nxt.k} escapes R_eps vertically (y={ys[escaped.argmax()]:.6g}, u_{box.k}={u})")
     return cut, u, nxt
 
 
@@ -482,17 +505,17 @@ def count_crossing_arcs(sys: ModelSystem, n: int, box: Box) -> int:
     xa = box.x_lo + 0.01 * width
     xb = box.x_hi - 0.01 * width
 
-    ys = _edge_ys(sys, box.top) + _edge_ys(sys, box.bottom)
-    band_lo, band_hi = min(ys), max(ys)
+    # each edge's one level ordinate, else the samples max_edge_slope reads
+    ys = np.concatenate([[y] if (y := h.level_y(sys)) is not None else _edge_points(sys, h)[1] for h in (box.top, box.bottom)])
+    band_lo, band_hi = float(ys.min()), float(ys.max())
     band_tol = max(1e-12, 10.0 * (band_hi - band_lo))
 
-    def monotone_samples(t0: float, t1: float, depth: int) -> list[Point]:
+    def monotone_samples(t0: float, t1: float, depth: int) -> np.ndarray:
         """Samples of the tracked branch, recursively split until every
         piece reads as x-monotone (the geometry guarantees it; sampling can
         alias near the fold)."""
-        ts = _lobatto(t0, t1, _SAMPLES)
-        pts = [word.apply(sys, fold_point(sys, n, float(t))) for t in ts]
-        if _x_monotone([p[0] for p in pts]):
+        pts = _branch_points(sys, n, word, _lobatto(t0, t1, _SAMPLES))
+        if _x_monotone(pts[0]):
             return pts
         if depth >= _ARC_MAX_REFINE:
             raise InconclusiveError(
@@ -500,18 +523,15 @@ def count_crossing_arcs(sys: ModelSystem, n: int, box: Box) -> int:
                 f"raise the sampling density"
             )
         mid = 0.5 * (t0 + t1)
-        return monotone_samples(t0, mid, depth + 1) + monotone_samples(mid, t1, depth + 1)
+        return np.hstack((monotone_samples(t0, mid, depth + 1), monotone_samples(mid, t1, depth + 1)))
 
     def branch_crosses(t0: float, t1: float) -> bool:
-        pts = monotone_samples(t0, t1, 0)
-        xs = [p[0] for p in pts]
-        if not (min(xs) <= xa and max(xs) >= xb):
+        xs, ys = monotone_samples(t0, t1, 0)
+        if not (xs.min() <= xa and xs.max() >= xb):
             return False
         # The traversal must happen inside the box vertically, not above or
         # below it.
-        for (x, y) in pts:
-            if xa <= x <= xb and not (band_lo - band_tol <= y <= band_hi + band_tol):
-                return False
-        return True
+        inside = (xa <= xs) & (xs <= xb)
+        return not np.any(inside & ~((band_lo - band_tol <= ys) & (ys <= band_hi + band_tol)))
 
     return sum(1 for t0, t1 in S.branches if branch_crosses(t0, t1))

@@ -23,7 +23,8 @@ the conjugacy moduli) is built from the three primitives in this module:
 saturation at ``_LOG_MIN``/``_LOG_MAX``, sign parity (``_flips_sign``),
 ``in_uq`` on arrays, U(p)'s ``_chart_reach``, the log estimate ``_log_steps``
 and the gate ``_small_expansion``.  The cascade's log-space heights read
-phi's partials (``_phi_jacobian``) and ``_saturated_exp``.
+phi's partials (``_phi_jacobian``) and ``_saturated_exp``, and its array
+samples ``_scale_powers`` and ``_phi_parts``.
 """
 
 from __future__ import annotations
@@ -284,6 +285,17 @@ def _scale_power(value: float, base: float, k: int) -> float:
     if _flips_sign(base, k):
         sign = -sign
     return sign * _saturated_exp(k * math.log(abs(base)) + math.log(abs(value)))
+
+
+def _scale_powers(values: np.ndarray, base: float, k: int) -> np.ndarray:
+    """``_scale_power`` on an array: the factor base**k once, or the saturated
+    log-space form by numpy's log and exp, which do not round like libm's."""
+    if abs(k) <= _DIRECT_POW_LIMIT:
+        return values * base**k
+    with np.errstate(divide="ignore"):
+        t = k * math.log(abs(base)) + np.log(np.abs(values))
+    power = np.copysign(np.exp(np.where(t > _LOG_MAX, np.inf, np.where(t < _LOG_MIN, -np.inf, t))), values)
+    return -power if _flips_sign(base, k) else power
 
 
 def _flips_sign(base: float, k):

@@ -261,16 +261,16 @@ def test_cascade_skips_levels_whose_b1_cannot_return(bench_workloads, tmp_path):
 
 def test_reference_run_work_counts(ref_config, tmp_path, monkeypatch):
     # One reference all run from empty caches: the fold polynomials leave
-    # 787 fold_point calls (8,221 with 255 sampled curve points per S_n,
-    # 1,386 while jn_slope_check evaluated its 600 samples one by one; the
-    # array path recomputes 1 sample near a side of S_n), and no Newton
-    # solve falls back to bisection.  The cascade makes 594
-    # edge evaluations and 1,223 word applications when measured (1,078 and
-    # 1,707 before each sampled edge point was kept on its handle and the
-    # crossing band's refinement went, 1,408 evaluations while build_b1
-    # sampled both B_1 edges) and inverts only the 24 cuts of its steps, and
-    # the slope grid builds the 2 scalar frames of its maxima: both screens
-    # settle the rest.
+    # 193 fold_point calls, those of build_sn and pick_rn (8,221 with 255
+    # sampled curve points per S_n, 1,386 while jn_slope_check evaluated its
+    # 600 samples one by one; the array path recomputes 1 sample near a side
+    # of S_n), and no Newton solve falls back to bisection.  The cascade
+    # makes 96 edge evaluations, the box vertices and the 48 of its
+    # inversions, and 116 word applications (594 and 1,208 while the edge
+    # and crossing-arc samplers took their points one by one; 1,408
+    # evaluations while build_b1 sampled both B_1 edges) and inverts only the
+    # 24 cuts of its steps, and the slope grid builds the 2 scalar frames of
+    # its maxima: both screens settle the rest.
     monkeypatch.setattr(rects, "_SN_CACHE", {})
     monkeypatch.setattr(rects, "_FOLD_CACHE", {})
     counts = {"fold_point": 0, "_bisect_or_fail": 0, "eval": 0, "apply": 0, "invert_x": 0, "return_frame": 0}
@@ -291,20 +291,22 @@ def test_reference_run_work_counts(ref_config, tmp_path, monkeypatch):
     monkeypatch.setattr(cascade.MapWord, "apply", counted("apply", cascade.MapWord.apply))
     monkeypatch.setattr(returns, "return_frame", counted("return_frame", returns.return_frame))
     assert run(ref_config, "all", out_dir=str(tmp_path / "out")) == 0
-    assert 0 < counts["fold_point"] <= 787
+    assert 0 < counts["fold_point"] <= 193
     assert counts["_bisect_or_fail"] == 0
-    assert counts["eval"] <= 594
-    assert counts["apply"] <= 1223
+    assert counts["eval"] <= 96
+    assert counts["apply"] <= 116
     assert (counts["invert_x"], counts["return_frame"]) == (24, 2)
 
 
 def test_reference_run_root_polish_work(ref_config, tmp_path, monkeypatch):
     # One reference all run from empty caches: the Horner passes and
     # Polynomial evaluations of the root searches, by caller, with build_sn's
-    # Sturm count of the zeros of X': 2,611 in all.  Polishing each root by
-    # _bisect from its isolating interval, and X''s two zeros only to count
-    # them, took 7,971: vertical_params 4,653, build_sn 1,488, _branch_y_at
-    # 1,004, extended_params 752 and _first_crossing 74.
+    # Sturm count of the zeros of X', and _branch_y_at's own evaluations:
+    # 2,303 in all.  Polishing each root by _bisect from its isolating
+    # interval, and X''s two zeros only to count them, took 7,971:
+    # vertical_params 4,653, build_sn 1,488, _branch_y_at 1,004 (inside
+    # real_roots), extended_params 752 and _first_crossing 74.  _branch_y_at
+    # took 692 while it isolated its one root by a Sturm chain.
     monkeypatch.setattr(rects, "_SN_CACHE", {})
     monkeypatch.setattr(rects, "_FOLD_CACHE", {})
     counts, inside = Counter(), []
@@ -327,14 +329,15 @@ def test_reference_run_root_polish_work(ref_config, tmp_path, monkeypatch):
     real_roots, sturm = numerics.real_roots, rects._sturm
     monkeypatch.setattr(numerics.Polynomial, "__call__", evaluation(numerics.Polynomial.__call__))
     monkeypatch.setattr(numerics, "_horner", evaluation(numerics._horner))
-    for module in (rects, returns, moduli):
+    for module in (rects, returns):
         monkeypatch.setattr(module, "real_roots", lambda *args: within(sys._getframe(1).f_code.co_name, real_roots, *args))
+    monkeypatch.setattr(moduli, "_branch_y_at", functools.partial(within, "_branch_y_at", moduli._branch_y_at))
     monkeypatch.setattr(rects, "_sturm", lambda p: functools.partial(within, "build_sn", sturm(p)))
     assert run(ref_config, "all", out_dir=str(tmp_path / "out")) == 0
     assert dict(counts) == {
         "vertical_params": 1244,
         "build_sn": 208,
-        "_branch_y_at": 648,
+        "_branch_y_at": 340,
         "extended_params": 447,
         "_first_crossing": 64,
     }
@@ -343,10 +346,10 @@ def test_reference_run_root_polish_work(ref_config, tmp_path, monkeypatch):
 def test_cascade_evaluates_each_edge_point_once(ref_config, tmp_path, monkeypatch):
     # One reference cascade command evaluates no (handle, s) pair twice
     # outside invert_x (232 pairs repeated before the edge samplers kept
-    # their points on the handle): the escape check's 33 points are the even
-    # half of the 65 that max_edge_slope and the crossing band read, and a
-    # cut over a whole edge is the handle whose points the monotone check
-    # took.  invert_x keeps its points for one call only, so they are left out.
+    # their points on the handle): the samplers evaluate their words on
+    # arrays, and eval is left with the 48 box vertices of the cascade
+    # steps (546 pairs while the samplers read eval).  invert_x's
+    # points are left out.
     seen, inside = Counter(), []
     original_eval, original_invert = cascade.CurveHandle.eval, cascade.CurveHandle.invert_x
 
@@ -366,7 +369,7 @@ def test_cascade_evaluates_each_edge_point_once(ref_config, tmp_path, monkeypatc
     monkeypatch.setattr(cascade.CurveHandle, "invert_x", counted_invert)
     results, _ = cli.cmd_cascade(load_config(ref_config), tmp_path)
     assert results["witness"]["n"] == 12
-    assert len(seen) > 500
+    assert len(seen) == 48
     assert [key for key, count in seen.items() if count > 1] == []
 
 

@@ -71,6 +71,22 @@ def test_flips_sign_on_ints_and_arrays():
     assert not model._flips_sign(1.02, np.array([1.0, 3.0])).any()
 
 
+@pytest.mark.parametrize("base, k", [(1.02, 400), (-1.02, 401), (0.3, -600), (-0.3, 20)])
+def test_scale_powers_saturate_as_the_scalar_power(base, k):
+    # np.exp overflows only past 709.78 and reaches 0.0 only below -745.13:
+    # the array power cuts at _LOG_MAX and _LOG_MIN like the scalar one, and
+    # keeps its signs and zeros.  Elsewhere the two differ by numpy's
+    # rounding of log and exp.
+    shift = k * math.log(abs(base))
+    logs = [709.5, 708.9, -745.05, -744.9, -300.0, 0.0]
+    values = [sign * math.exp(t - shift) for t in logs if t - shift < 709.0 for sign in (1.0, -1.0)] + [0.0]
+    array = model._scale_powers(np.array(values), base, k)
+    for v, a in zip(values, array):
+        s = _scale_power(v, base, k)
+        assert (math.isinf(a), a == 0.0, math.copysign(1.0, a) if a else 0.0) == (math.isinf(s), s == 0.0, math.copysign(1.0, s) if s else 0.0), v
+        assert a == pytest.approx(s, rel=1e-12, abs=1e-300)
+
+
 def test_in_uq_on_arrays_at_the_edge(ref):
     # The last double inside U(q) and the first outside, along either axis:
     # the array test agrees with the scalar one point by point.

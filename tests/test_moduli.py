@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,8 @@ from tangencylab.moduli import (
     return_record,
     sn_cn_series,
 )
+from tangencylab.errors import NumericError
+from tangencylab.numerics import Polynomial, real_roots
 from tangencylab.rects import first_valid_n, fold_rectangles
 
 # fundamental-domain exponents for n = 8..18, pinned by an exact rational
@@ -182,23 +185,40 @@ def test_intersection_rescale_pair(ref):
         assert intersection_check(pair, n)
 
 
+def test_branch_heights_equal_the_sturm_isolated_root(ref):
+    # _branch_y_at polishes from the signs at the branch ends, with no Sturm
+    # chain: on every branch of the reference levels it gives real_roots'
+    # double, inside and at the ends, and raises where real_roots finds no
+    # root in (lo, hi].
+    line = (0.0, 1.0, Polynomial((-1.0, 2.0)), Polynomial((0.0, 1.0)))  # p is exactly 0 at an end for x = -1 and 1
+    for branch in [line] + [b for S in fold_rectangles(ref, 8, 18) for b in moduli._branches(S, (1.0, 1.0))]:
+        lo, hi, px, py = branch
+        for x in [*np.linspace(px(lo), px(hi), 9), 2.0 * px(hi) - px(lo)]:
+            roots = real_roots(px + -float(x), lo, hi)
+            if roots:
+                assert moduli._branch_y_at(branch, float(x)) == py(roots[0])
+            else:
+                with pytest.raises(NumericError, match="not reached on the branch"):
+                    moduli._branch_y_at(branch, float(x))
+
+
 def test_intersection_check_decides_each_level_from_few_fold_points(ref, monkeypatch):
     # Each branch height is one root search on the fold polynomials, and no
     # fold point is evaluated; an operation count, not wall time, guards
     # that work.
     calls = []
-    fold_point, real_roots = moduli.fold_point, moduli.real_roots
+    fold_point, branch_y_at = moduli.fold_point, moduli._branch_y_at
 
     def counted(sys, n, t):
         calls.append(t)
         return fold_point(sys, n, t)
 
-    def counted_roots(p, lo, hi):
-        calls.append(lo)
-        return real_roots(p, lo, hi)
+    def counted_roots(branch, x):
+        calls.append(x)
+        return branch_y_at(branch, x)
 
     monkeypatch.setattr(moduli, "fold_point", counted)
-    monkeypatch.setattr(moduli, "real_roots", counted_roots)
+    monkeypatch.setattr(moduli, "_branch_y_at", counted_roots)
     levels = [S.n for S in fold_rectangles(ref, 8, 18)]
     for pair, limit in ((rescale_pair(ref, 1), 200), (identity_pair(ref), 100)):
         calls.clear()

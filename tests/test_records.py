@@ -62,25 +62,9 @@ def test_validate_reports_do_not_share_entries(ref):
     assert first.ok and second.ok
 
 
-def test_curve_handles_keep_their_own_points(ref):
-    # The same word over two base segments: each handle's memo of (sys, s)
-    # hands back its own image, never the other handle's.
-    word = MapWord((("linear", 3),))
-    low = CurveHandle((0.5, 0.0), (1.5, 0.0), word)
-    high = CurveHandle((0.5, 0.25), (1.5, 0.25), word)
-    for s in (0.0, 0.5, 1.0):
-        assert low._point(ref, s) == low.eval(ref, s)
-        assert high._point(ref, s) == high.eval(ref, s)
-        assert low._point(ref, s) != high._point(ref, s)
-    assert low._points is not high._points
-    bare = CurveHandle((0.5, 0.0), (1.5, 0.0)), CurveHandle((0.5, 0.5), (1.5, 0.5))
-    assert bare[0]._point(ref, 0.5) == (1.0, 0.0)
-    assert bare[1]._point(ref, 0.5) == (1.0, 0.5)
-
-
 _DEFAULTS = {
     "MapWord": (lambda: MapWord(), ("atoms",)),
-    "CurveHandle": (lambda: CurveHandle((0.0, 0.0), (1.0, 0.0)), ("word", "s_lo", "s_hi", "_points")),
+    "CurveHandle": (lambda: CurveHandle((0.0, 0.0), (1.0, 0.0)), ("word", "s_lo", "s_hi")),
     "TransitionSpec": (lambda: TransitionSpec(1.0, -1.0, 1.0, -1.0, 0.0), ("m0", "h1_terms", "h2_terms")),
     "ModelSystem": (
         lambda: ModelSystem(SaddleSpec(0.3, 1.02), TransitionSpec(1.0, -1.0, 1.0, -1.0, 0.0), SeedArc((-2.0, 2.0), (0.5,))),
