@@ -21,7 +21,7 @@ import numpy as np
 from .cases import classify_system
 from .errors import DomainError, NotFoundError, NumericError, WrongQuadrantError
 from .model import ModelSystem, Point, _window_power, apply_linear, apply_phi, signed_power
-from .numerics import Polynomial, _polish
+from .numerics import Polynomial, _crosses, _polish
 from .rects import SnRectangle, build_sn, fold_point
 
 __all__ = [
@@ -346,17 +346,17 @@ def _branches(S: SnRectangle, factors: Point) -> list[tuple[float, float, Polyno
 
 
 def _branch_y_at(branch, x: float) -> float:
-    """Height of an x-monotone branch over abscissa x.  px - x has at most
-    one root in (lo, hi], so a sign change across the branch is polished as
-    ``real_roots`` polishes its one isolating interval, and no Sturm chain
-    is built."""
+    """Height of an x-monotone branch over abscissa x.  The branch ends are
+    zeros of px', so the branch is one of ``real_roots``' pieces for
+    px - x: its one root in (lo, hi] is taken as ``real_roots`` takes a
+    piece's, and no zero of px' is searched for again."""
     lo, hi, px, py = branch
     p = px + -x
     f_lo, f_hi = p(lo), p(hi)
+    if not _crosses(f_lo, f_hi):
+        raise NumericError(f"abscissa {x:.6g} not reached on the branch")
     if f_hi == 0.0:
         return py(hi)
-    if f_lo == 0.0 or (f_lo > 0.0) == (f_hi > 0.0):
-        raise NumericError(f"abscissa {x:.6g} not reached on the branch")
     return py(_polish(p, lo, hi, f_lo, f_hi))
 
 

@@ -15,26 +15,30 @@ this way the bound is exact: for an f that changes sign once in the
 bracket, the search makes at most one evaluation more than bisection on the
 same bracket, and where f is smooth it makes about half as many.
 
-A polynomial's roots are isolated by Sturm counts and polished by guarded
-Newton steps first: p and p' come from one Horner pass, the first trial
-point is the bracket's regula falsi point, every trial point tightens the
-sign bracket, and a step that leaves the bracket is replaced by its
-midpoint.  Once a step moves no more than 2 ulps, the bisection above runs
-from probes 2 ulps either side of the point, or on the whole sign bracket
-when the probes hold no sign change, so the polish keeps the one stop rule.
-``solve_newton`` is no polish: it stops on a residual tolerance.
+A polynomial's roots are isolated between its critical points: the zeros
+of p', found by the same search one degree down, cut the interval into
+pieces on which p is monotone, so each piece holds at most one root, and
+the roots returned are the sign changes of p, not its distinct roots (a
+root of even multiplicity shows only where p is exactly 0).  Each root is
+polished by guarded Newton steps first: p and p' come from one Horner
+pass, the first trial point is the piece's regula falsi point, every trial
+point tightens the sign bracket, and a step that leaves the bracket is
+replaced by its midpoint.  Once a step moves no more than 2 ulps, the
+bisection above runs from probes 2 ulps either side of the point, or on the
+whole sign bracket when the probes hold no sign change, so the polish keeps
+the one stop rule.  ``solve_newton`` is no polish: it stops on a residual
+tolerance.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from typing import Callable
 
 from .errors import NumericError
 
-__all__ = ["Polynomial", "real_roots", "solve_newton"]
+__all__ = ["Polynomial", "real_roots", "root_count", "solve_newton"]
 
 _MAX_NEWTON_STEPS = 60
 
@@ -194,8 +198,9 @@ class Polynomial(tuple):
     def __mul__(self, other):
         other = other if isinstance(other, Polynomial) else Polynomial((other,))
         out = [0.0] * (len(self) + len(other) - 1)
-        for (i, a), (j, b) in itertools.product(enumerate(self), enumerate(other)):
-            out[i + j] += a * b
+        for i, a in enumerate(self):
+            for k, b in enumerate(other, i):
+                out[k] += a * b
         return Polynomial(out)
 
     __radd__, __rmul__ = __add__, __mul__
@@ -256,48 +261,37 @@ def _polish(p: Polynomial, lo: float, hi: float, f_lo: float, f_hi: float) -> fl
     return _bisect(p, lo, hi)
 
 
-def _sturm(p: Polynomial) -> Callable[[float], int]:
-    """The sign changes of p's Sturm sequence at a point.  Their drop from
-    lo to hi counts the distinct real roots of p in (lo, hi] (Sturm's
-    theorem)."""
-    p = p.trimmed()
-    chain, nxt = [p], p.derivative()
-    while nxt:  # each member is minus the remainder of the two before it
-        chain.append(nxt)
-        rem = list(chain[-2])
-        while len(rem) >= len(nxt):
-            q = rem.pop() / nxt[-1]  # the cancelled leading term is dropped
-            for i in range(1, len(nxt)):
-                rem[-i] -= q * nxt[-1 - i]
-        nxt = Polynomial(-r for r in rem).trimmed()
+def _pieces(p: Polynomial, lo: float, hi: float) -> list[tuple[float, float, float, float]]:
+    """(a, b, p(a), p(b)) for the pieces of (lo, hi] cut at the zeros of p'
+    that :func:`real_roots` finds.  p is monotone on each piece, so a piece
+    holds at most one root; a constant or zero p has no pieces."""
+    if not any(p[1:]):
+        return []
+    knots = [lo, *(c for c in real_roots(p.derivative(), lo, hi) if lo < c < hi), hi]
+    values = [p(c) for c in knots]
+    return list(zip(knots, knots[1:], values, values[1:]))
 
-    def changes(x: float) -> int:
-        signs = [v > 0.0 for v in (q(x) for q in chain) if v != 0.0]
-        return sum(a != b for a, b in zip(signs, signs[1:]))
 
-    return changes
+def _crosses(f_a: float, f_b: float) -> bool:
+    """Does a piece with end values f_a, f_b hold a root in (a, b]?"""
+    return f_b == 0.0 or (f_a != 0.0 and (f_a > 0.0) != (f_b > 0.0))
+
+
+def root_count(p: Polynomial, lo: float, hi: float) -> int:
+    """The number of roots :func:`real_roots` returns, read from the signs
+    at the piece ends: none of them is polished."""
+    return sum(_crosses(f_a, f_b) for _, _, f_a, f_b in _pieces(p, lo, hi))
 
 
 def real_roots(p: Polynomial, lo: float, hi: float) -> list[float]:
-    """The distinct real roots of p in (lo, hi], ascending.
+    """The sign-changing real roots of p in (lo, hi], ascending.
 
-    Sturm counts (:func:`_sturm`) and halving isolate each root, and
-    :func:`_polish` polishes it once p changes sign across its interval.
-    A root that halving cannot separate in doubles (a multiple root, a
-    cluster) is the upper end of its two-double interval.
+    The zeros of p', found by this function, cut (lo, hi] into pieces on
+    which p is monotone (:func:`_pieces`).  A piece whose end values have
+    opposite signs holds one root, which :func:`_polish` polishes, and a
+    piece end where p is exactly 0 is a root as it stands.  Unlike the
+    distinct roots, a root of even multiplicity, where p touches 0 without
+    changing sign, is returned only if p is exactly 0 at the zero of p'
+    found next to it; a zero polynomial has no roots.
     """
-    changes = _sturm(p)
-    roots, todo = [], [(lo, hi, changes(lo), changes(hi))]
-    while todo:
-        a, b, v_a, v_b = todo.pop()
-        if v_a == v_b:
-            continue
-        mid, f_a, f_b = 0.5 * (a + b), p(a), p(b)
-        if v_a - v_b == 1 and f_a != 0.0 and f_b != 0.0 and (f_a > 0.0) != (f_b > 0.0):
-            roots.append(_polish(p, a, b, f_a, f_b))
-        elif (v_a - v_b == 1 and f_b == 0.0) or mid in (a, b):
-            roots.append(b)
-        else:
-            v_mid = changes(mid)
-            todo += [(mid, b, v_mid, v_b), (a, mid, v_a, v_mid)]
-    return roots
+    return [b if f_b == 0.0 else _polish(p, a, b, f_a, f_b) for a, b, f_a, f_b in _pieces(p, lo, hi) if _crosses(f_a, f_b)]

@@ -10,7 +10,9 @@ is what most of the tests downstream lean on.
 
 The folded curve (X, Y)(t) = phi(alpha_n(t)) is a polynomial in t for every
 system the model admits, so tangencies, caps and the extremes of Y are real
-roots of polynomials, counted and polished by ``numerics.real_roots``.
+roots of polynomials, isolated between the zeros of their derivatives and
+polished by ``numerics.real_roots``; ``numerics.root_count`` counts them
+without polishing any.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .errors import (
 )
 from .leaves import alpha, arc_height, t_window
 from .model import ModelSystem, Point, Rect, _phi_parts
-from .numerics import Polynomial, _sturm, real_roots
+from .numerics import Polynomial, real_roots, root_count
 
 __all__ = [
     "SnRectangle",
@@ -111,9 +113,10 @@ def vertical_params(sys: ModelSystem, n: int) -> tuple[float, float]:
 
     To leading order X'(t) = b*y_n(0) + 3c*t^2, so a real pair exists exactly
     when -b*y_n(0)/(3c) > 0.  Both sides are searched as positive roots of
-    X'(-s) and X'(s) on one interval, so an even X' gives t_minus = -t_plus
-    exactly.  No zero on a side raises NoVerticalTangencyError, a zero
-    outside the arc window WindowExceededError."""
+    X'(-s) and X'(s) on one interval; an even X' is its own mirror, so it
+    is searched once and gives t_minus = -t_plus exactly.  No zero on a
+    side raises NoVerticalTangencyError, a zero outside the arc window
+    WindowExceededError."""
     if n < 1:
         raise DomainError("fold index must be at least 1")
     if n > sys.n_max:
@@ -124,9 +127,11 @@ def vertical_params(sys: ModelSystem, n: int) -> tuple[float, float]:
     lo, hi = t_window(sys)
     dx = x.derivative().trimmed()
     reach = 1.0 + max(map(abs, dx)) / abs(dx[-1])  # Cauchy's bound on |root|
+    mirrored = Polynomial(-c if k % 2 else c for k, c in enumerate(dx))
+    below = real_roots(mirrored, 0.0, reach)
+    above = below if mirrored == dx else real_roots(dx, 0.0, reach)
     pair = []
-    for side, p, edge in (("below", Polynomial(-c if k % 2 else c for k, c in enumerate(dx)), -lo), ("above", dx, hi)):
-        roots = real_roots(p, 0.0, reach)
+    for side, roots, edge in (("below", below, -lo), ("above", above, hi)):
         if not roots:
             raise NoVerticalTangencyError(f"X' has no zero {side} t = 0 at level n={n}; no real tangency pair")
         if roots[0] * scale > edge:
@@ -202,8 +207,9 @@ def build_sn(sys: ModelSystem, n: int) -> SnRectangle:
     """Construct S_n: the tangency pair, the caps, and the y extent of the
     piece between the caps from the four fold points and the zeros of Y'.
     The piece is one hook inside the strip between the tangencies exactly
-    when X' has no other zero between the caps; a Sturm count of them, with
-    no zero polished, other than 2 raises NumericError.
+    when X' has no other zero between the caps; a count of its sign
+    changes there (``root_count``: only the zeros of X'' that cut X' into
+    monotone pieces are polished) other than 2 raises NumericError.
 
     Each S_n is built once per (system, n) and shared afterwards; systems
     are frozen and compare by value, so an equal system built elsewhere gets
@@ -217,8 +223,7 @@ def build_sn(sys: ModelSystem, n: int) -> SnRectangle:
     fold = scale, x, y = _fold(sys, n)
     params = (t_ext_minus, t_minus, t_plus, t_ext_plus)
     s_ext_minus, s_minus, s_plus, s_ext_plus = ss = [t / scale for t in params]
-    changes = _sturm(x.derivative())
-    zeros = changes(s_ext_minus) - changes(s_ext_plus)
+    zeros = root_count(x.derivative(), s_ext_minus, s_ext_plus)
     if zeros != 2:
         raise NumericError(f"X' has {zeros} zeros between the caps of S_{n}, not 2: the fold piece is not one hook inside its strip")
     pts = tuple(fold_point(sys, n, t) for t in params)

@@ -301,12 +301,15 @@ def test_reference_run_work_counts(ref_config, tmp_path, monkeypatch):
 def test_reference_run_root_polish_work(ref_config, tmp_path, monkeypatch):
     # One reference all run from empty caches: the Horner passes and
     # Polynomial evaluations of the root searches, by caller, with build_sn's
-    # Sturm count of the zeros of X', and _branch_y_at's own evaluations:
-    # 2,303 in all.  Polishing each root by _bisect from its isolating
-    # interval, and X''s two zeros only to count them, took 7,971:
-    # vertical_params 4,653, build_sn 1,488, _branch_y_at 1,004 (inside
-    # real_roots), extended_params 752 and _first_crossing 74.  _branch_y_at
-    # took 692 while it isolated its one root by a Sturm chain.
+    # count of the zeros of X', and _branch_y_at's own evaluations: 1,466 in
+    # all.  Isolating roots by Sturm chains took 2,303: vertical_params 1,244
+    # (the even X' searched twice), extended_params 447, _branch_y_at 340,
+    # build_sn 208 and _first_crossing 64.  _first_crossing's six searches
+    # span the arc window, where X - target has X's two tangencies as
+    # critical points; isolating between them polishes those two zeros of X',
+    # and the zero of X'' that separates them, on every search: 189
+    # evaluations where one Sturm interval needed 64.  Polishing each root by _bisect from its
+    # isolating interval, and X''s two zeros only to count them, took 7,971.
     monkeypatch.setattr(rects, "_SN_CACHE", {})
     monkeypatch.setattr(rects, "_FOLD_CACHE", {})
     counts, inside = Counter(), []
@@ -326,20 +329,20 @@ def test_reference_run_root_polish_work(ref_config, tmp_path, monkeypatch):
 
         return wrapper
 
-    real_roots, sturm = numerics.real_roots, rects._sturm
+    real_roots, root_count = numerics.real_roots, rects.root_count
     monkeypatch.setattr(numerics.Polynomial, "__call__", evaluation(numerics.Polynomial.__call__))
     monkeypatch.setattr(numerics, "_horner", evaluation(numerics._horner))
     for module in (rects, returns):
         monkeypatch.setattr(module, "real_roots", lambda *args: within(sys._getframe(1).f_code.co_name, real_roots, *args))
     monkeypatch.setattr(moduli, "_branch_y_at", functools.partial(within, "_branch_y_at", moduli._branch_y_at))
-    monkeypatch.setattr(rects, "_sturm", lambda p: functools.partial(within, "build_sn", sturm(p)))
+    monkeypatch.setattr(rects, "root_count", functools.partial(within, "build_sn", root_count))
     assert run(ref_config, "all", out_dir=str(tmp_path / "out")) == 0
     assert dict(counts) == {
-        "vertical_params": 1244,
-        "build_sn": 208,
+        "vertical_params": 555,
+        "build_sn": 159,
         "_branch_y_at": 340,
-        "extended_params": 447,
-        "_first_crossing": 64,
+        "extended_params": 223,
+        "_first_crossing": 189,
     }
 
 

@@ -185,11 +185,11 @@ def test_intersection_rescale_pair(ref):
         assert intersection_check(pair, n)
 
 
-def test_branch_heights_equal_the_sturm_isolated_root(ref):
-    # _branch_y_at polishes from the signs at the branch ends, with no Sturm
-    # chain: on every branch of the reference levels it gives real_roots'
-    # double, inside and at the ends, and raises where real_roots finds no
-    # root in (lo, hi].
+def test_branch_heights_equal_the_root_real_roots_isolates(ref):
+    # _branch_y_at polishes from the signs at the branch ends, with no zeros
+    # of px' as piece ends: on every branch of the reference levels it gives
+    # real_roots' double, inside and at the ends, and raises where real_roots
+    # finds no root in (lo, hi].
     line = (0.0, 1.0, Polynomial((-1.0, 2.0)), Polynomial((0.0, 1.0)))  # p is exactly 0 at an end for x = -1 and 1
     for branch in [line] + [b for S in fold_rectangles(ref, 8, 18) for b in moduli._branches(S, (1.0, 1.0))]:
         lo, hi, px, py = branch

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from tangencylab import numerics
 from tangencylab.errors import NumericError
 from tangencylab.model import _DIRECT_POW_LIMIT, _poly, _scale_power, _window_power, signed_power
-from tangencylab.numerics import Polynomial, _bisect, _sturm, real_roots, solve_newton
+from tangencylab.numerics import Polynomial, _bisect, real_roots, root_count, solve_newton
 
 
 def _counted(f):
@@ -123,6 +123,77 @@ def test_exhaustive_search_costs_at_most_one_step_more_than_bisection(case, root
 # -- real roots of polynomials -------------------------------------------------
 
 
+def _sturm(p: Polynomial):
+    """The sign changes of p's Sturm sequence at a point.  Their drop from
+    lo to hi counts the distinct real roots of p in (lo, hi] (Sturm's
+    theorem): the oracle for the roots isolated between critical points."""
+    p = p.trimmed()
+    chain, nxt = [p], p.derivative()
+    while nxt:  # each member is minus the remainder of the two before it
+        chain.append(nxt)
+        rem = list(chain[-2])
+        while len(rem) >= len(nxt):
+            q = rem.pop() / nxt[-1]  # the cancelled leading term is dropped
+            for i in range(1, len(nxt)):
+                rem[-i] -= q * nxt[-1 - i]
+        nxt = Polynomial(-r for r in rem).trimmed()
+
+    def changes(x: float) -> int:
+        signs = [v > 0.0 for v in (q(x) for q in chain) if v != 0.0]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return changes
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8),
+    b=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8),
+)
+def test_polynomial_product_sums_each_coefficient_in_index_order(a, b):
+    # out[k] adds a[i] * b[k - i] for ascending i, as a double loop over the
+    # index pairs does, so the product's bits are the loop's bits.
+    out = [0.0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    assert [_bits(c) for c in Polynomial(a) * Polynomial(b)] == [_bits(c) for c in out]
+
+
+@pytest.mark.parametrize(
+    "p, lo, hi, expected",
+    [
+        # p' is exactly 0 at hi, where p is exactly 0: one root, not two
+        (Polynomial((1.0, -2.0, 1.0)), 0.0, 1.0, [1.0]),
+        # ... and at lo, which the half-open interval leaves out
+        (Polynomial((1.0, -2.0, 1.0)), 1.0, 2.0, []),
+        # a double root inside, where p is exactly 0 at the zero of p'
+        (Polynomial((0.25, -1.0, 1.0)), 0.0, 2.0, [0.5]),
+        # a double root next to which p keeps its sign: no sign change
+        (Polynomial((0.08000000000000002, -0.76, 1.6, 1.0)), 0.0, 2.0, []),
+        # simple roots at both ends: hi is in, lo is out
+        (Polynomial((-1.0, 0.0, 1.0)), -1.0, 1.0, [1.0]),
+        (Polynomial((0.0, -1.0, 0.0, 1.0)), -2.0, 2.0, [-1.0, 0.0, 1.0]),  # one root per piece
+        (Polynomial((-1.0, 2.0, 0.0)), 0.0, 1.0, [0.5]),  # trailing zero coefficients
+        (Polynomial((2.0,)), -1.0, 1.0, []),  # a constant
+        (Polynomial((0.0, 0.0)), -1.0, 1.0, []),  # the zero polynomial
+        (Polynomial(()), -1.0, 1.0, []),
+    ],
+)
+def test_real_roots_at_piece_ends_and_degenerate_polynomials(p, lo, hi, expected):
+    assert real_roots(p, lo, hi) == expected
+    assert root_count(p, lo, hi) == len(expected)
+
+
+def test_real_roots_misses_only_roots_without_sign_change():
+    # The double root 0.2 of (s - 0.2)^2 (s + 2) above: Sturm counts it as
+    # a distinct root, while p is positive at the zero of p' next to it.
+    p = Polynomial((0.08000000000000002, -0.76, 1.6, 1.0))
+    (knot,) = real_roots(p.derivative(), 0.0, 2.0)
+    assert p(knot) > 0.0
+    assert _sturm(p)(0.0) - _sturm(p)(2.0) == 1
+
+
 @st.composite
 def _rooted_polynomials(draw):
     """(p, lo, hi): a polynomial of degree 1 to 6 built from known simple
@@ -156,6 +227,16 @@ def test_polished_roots_are_sign_changes_the_sturm_count_predicts(case):
             f_side != 0.0 and (f_side > 0.0) != (f_r > 0.0)
             for f_side in (p(math.nextafter(r, -math.inf)), p(math.nextafter(r, math.inf)))
         )
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_rooted_polynomials())
+def test_root_count_is_the_number_of_roots_and_the_sturm_count(case):
+    # On polynomials with simple roots every root changes sign, so the
+    # sign-changing roots are the distinct roots Sturm's theorem counts.
+    p, lo, hi = case
+    changes = _sturm(p)
+    assert root_count(p, lo, hi) == len(real_roots(p, lo, hi)) == changes(lo) - changes(hi)
 
 
 # -- Newton with bisection fallback ------------------------------------------

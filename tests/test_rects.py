@@ -89,6 +89,29 @@ def test_fold_rectangle_frozen_level_10(sn10):
     assert sn10.dist == pytest.approx(2.950497361082407e-06, rel=1e-13)
 
 
+# float.hex of (t_minus, t_plus, t_ext_minus, t_ext_plus, width, height, rho)
+# of the reference S_n: a change of the roots' polish path shows here.
+_REFERENCE_SN_BITS = {
+    8: ("-0x1.b16e2b82a1ca9p-9", "0x1.b16e2b82a1ca9p-9", "-0x1.b16e2b82a1ca9p-8", "0x1.b16e2b82a1ca9p-8", "0x1.369ca308177f5p-23", "0x1.b16e2b82a1ca9p-7", "0x1.a20bd700c2c3dp-2"),
+    9: ("-0x1.dacc95d34c3cep-10", "0x1.dacc95d34c3cep-10", "-0x1.dacc95d34c3cep-9", "0x1.dacc95d34c3cep-9", "0x1.984f556b5573ap-26", "0x1.dacc95d34c3cep-8", "0x1.a20bd700c2c3ep-2"),
+    10: ("-0x1.040ee6e7faaccp-10", "0x1.040ee6e7faaccp-10", "-0x1.040ee6e7faaccp-9", "0x1.040ee6e7faaccp-9", "0x1.0c5e5fcda5b5bp-28", "0x1.040ee6e7faaccp-8", "0x1.a20bd700c2c3ep-2"),
+    11: ("-0x1.1ce126b1fa8afp-11", "0x1.1ce126b1fa8afp-11", "-0x1.1ce126b1fa8afp-10", "0x1.1ce126b1fa8afp-10", "0x1.60c79dc52f34cp-31", "0x1.1ce126b1fa8afp-9", "0x1.a20bd700c2c3ep-2"),
+    12: ("-0x1.3811e1e32ccf5p-12", "0x1.3811e1e32ccf5p-12", "-0x1.3811e1e32ccf6p-11", "0x1.3811e1e32ccf6p-11", "0x1.cfbdb3e255a46p-34", "0x1.3811e1e32ccf6p-10", "0x1.a20bd700c2c41p-2"),
+    13: ("-0x1.55dafb3bf9738p-13", "0x1.55dafb3bf9738p-13", "-0x1.55dafb3bf9738p-12", "0x1.55dafb3bf9738p-12", "0x1.30cd3c89996d0p-36", "0x1.55dafb3bf9738p-11", "0x1.a20bd700c2c3ep-2"),
+    14: ("-0x1.767bdbdd68f8cp-14", "0x1.767bdbdd68f8cp-14", "-0x1.767bdbdd68f8dp-13", "0x1.767bdbdd68f8cp-13", "0x1.90ac18590e9a5p-39", "0x1.767bdbdd68f8cp-12", "0x1.a20bd700c2c3ep-2"),
+    15: ("-0x1.9a39fa47f8243p-15", "0x1.9a39fa47f8243p-15", "-0x1.9a39fa47f8243p-14", "0x1.9a39fa47f8243p-14", "0x1.075942a3f11a9p-41", "0x1.9a39fa47f8243p-13", "0x1.a20bd700c2c3ep-2"),
+    16: ("-0x1.c1616e3ce45dap-16", "0x1.c1616e3ce45dap-16", "-0x1.c1616e3ce45dbp-15", "0x1.c1616e3ce45dap-15", "0x1.5a2e4a48d96aap-44", "0x1.c1616e3ce45dap-14", "0x1.a20bd700c2c3ep-2"),
+    17: ("-0x1.ec4592bcc35e9p-17", "0x1.ec4592bcc35e9p-17", "-0x1.ec4592bcc35e9p-16", "0x1.ec4592bcc35e9p-16", "0x1.c711069c50c15p-47", "0x1.ec4592bcc35e9p-15", "0x1.a20bd700c2c3ep-2"),
+    18: ("-0x1.0da0dbbe229e9p-17", "0x1.0da0dbbe229e9p-17", "-0x1.0da0dbbe229e9p-16", "0x1.0da0dbbe229e9p-16", "0x1.2b19a8a13eeb6p-49", "0x1.0da0dbbe229e9p-15", "0x1.a20bd700c2c3dp-2"),
+}
+
+
+def test_reference_fold_rectangles_keep_their_bits(ref):
+    fields = ("t_minus", "t_plus", "t_ext_minus", "t_ext_plus", "width", "height", "rho")
+    bits = {S.n: tuple(getattr(S, k).hex() for k in fields) for S in fold_rectangles(ref, 8, 18)}
+    assert bits == _REFERENCE_SN_BITS
+
+
 def test_fold_turns_vertical_at_the_tangency_parameters(ref, sn10):
     # dx/dt = 0 exactly at t_{+-}: the fold tip is a vertical tangency
     for t in (sn10.t_minus, sn10.t_plus):
