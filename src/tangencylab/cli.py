@@ -10,13 +10,18 @@ any fails (the failing names are listed), 2 for configuration errors.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import sys as _sys
 from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
+
+# The SHA-256 hashlib falls back on without OpenSSL, whose libcrypto it loads.
+if _sys.version_info >= (3, 12):
+    from _sha2 import sha256
+else:
+    from _sha256 import sha256
 
 import numpy as np
 
@@ -236,7 +241,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         output_dir=output_dir,
         commands=tuple(commands_raw),
         seed=seed,
-        sha256=hashlib.sha256(raw_bytes).hexdigest(),
+        sha256=sha256(raw_bytes).hexdigest(),
     )
 
 

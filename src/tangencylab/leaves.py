@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model import _MEMBERSHIP_TOL, ModelSystem, Point, _phi_jacobian, _phi_parts, _poly, signed_power
-from .numerics import Polynomial, solve_newton
+from .numerics import Polynomial, line_fit, solve_newton
 
 __all__ = [
     "SeedArc",
@@ -190,7 +190,8 @@ def tangency_samples(sys: ModelSystem, xs) -> list[tuple[float, float]]:
 def tangency_order(samples) -> tuple[float, float]:
     """Contact order and limit coefficient from (d_point, d_leaf) samples.
 
-    Fits log d_leaf against log d_point by least squares; the coefficient is
+    Fits log d_leaf against log d_point with :func:`numerics.line_fit`: the
+    order is the slope, and the coefficient is exp of the intercept, which is
     the geometric mean of d_leaf / d_point**order.  Samples must be positive,
     at least 8 of them, spanning at least two decades in d_point.
     """
@@ -203,8 +204,5 @@ def tangency_order(samples) -> tuple[float, float]:
     dl = np.array([l for _, l in pts])
     if dp.max() / dp.min() < 100.0:
         raise DomainError("samples must span at least two decades")
-    lx = np.log(dp)
-    ly = np.log(dl)
-    order, _ = np.polyfit(lx, ly, 1)
-    coefficient = float(np.exp(np.mean(ly - order * lx)))
-    return float(order), coefficient
+    order, log_coefficient = line_fit(np.log(dp), np.log(dl))
+    return order, math.exp(log_coefficient)

@@ -429,11 +429,11 @@ def tau_bounds(sys: ModelSystem) -> tuple[float, float]:
     For the reference sign pattern the extremes sit at the rectangle corners
     and approach (c, a + 27c) as eps -> 0.
 
-    The 256 x 256 grid is evaluated in blocks of 16 rows, each the same
-    elementwise arithmetic on contiguous arrays as one meshgrid, so the
-    extremes are the same doubles at a sixteenth of the temporaries.  The
-    pair is kept per system like ``rects.build_sn``'s S_n; a failure is not
-    stored and raises on every call.
+    The 256 x 256 grid is evaluated in blocks of 16 rows, 16 abscissas
+    broadcast against 256 ordinates: the elementwise arithmetic of one
+    meshgrid, so the extremes are the same doubles at a sixteenth of the
+    temporaries.  The pair is kept per system like ``rects.build_sn``'s S_n;
+    a failure is not stored and raises on every call.
     """
     bounds = _TAU_CACHE.get(sys)
     if bounds is not None:
@@ -449,7 +449,7 @@ def tau_bounds(sys: ModelSystem) -> tuple[float, float]:
     ys = np.linspace(rect.y_lo, rect.y_hi, _TAU_RESOLUTION)
     lows, highs = [], []
     for row in range(0, _TAU_RESOLUTION, _TAU_BLOCK_ROWS):
-        px = _phi_parts(sys, *np.meshgrid(xs[row : row + _TAU_BLOCK_ROWS], ys, indexing="ij"))[0]
+        px = _phi_parts(sys, xs[row : row + _TAU_BLOCK_ROWS, None], ys[None, :])[0]
         lows.append(px.min())
         highs.append(px.max())
     # np.min/np.max of the block extremes propagate a NaN as one reduction would.

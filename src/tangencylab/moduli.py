@@ -21,7 +21,7 @@ import numpy as np
 from .cases import classify_system
 from .errors import DomainError, NotFoundError, NumericError, WrongQuadrantError
 from .model import ModelSystem, Point, _window_power, apply_linear, apply_phi, signed_power
-from .numerics import Polynomial, _crosses, _polish
+from .numerics import Polynomial, _crosses, _polish, line_fit
 from .rects import SnRectangle, build_sn, fold_point
 
 __all__ = [
@@ -121,17 +121,17 @@ def _levels(n_range, minimum: int, error: str) -> list[int]:
 
 
 def _slope_with_stderr(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
-    slope, intercept = np.polyfit(xs, ys, 1)
+    slope, intercept = line_fit(xs, ys)
     resid = ys - (slope * xs + intercept)
     dof = len(xs) - 2
     if dof <= 0:
-        return float(slope), math.inf
+        return slope, math.inf
     var = float(resid @ resid) / dof / float(((xs - xs.mean()) ** 2).sum())
-    return float(slope), math.sqrt(var)
+    return slope, math.sqrt(var)
 
 
 def modulus_fit(sys: ModelSystem, n_range) -> tuple[float, float]:
-    """Least-squares slope of m(n) against n, with its standard error.
+    """Slope of m(n) against n by :func:`numerics.line_fit`, with its stderr.
 
     The staircase m(n) has unit jitter around the line rho*n + const, so the
     fit needs at least six levels before the slope settles.
@@ -177,7 +177,7 @@ def power_fit(points) -> tuple[float, float]:
     """Fit (C, tau) with h = C * x^tau through positive data pairs (x, h).
 
     Requires at least four pairs spanning at least one decade in x; the fit
-    is ordinary least squares in log-log coordinates.
+    is :func:`numerics.line_fit` of log h against log x.
     """
     xs = np.array([float(p[0]) for p in points], dtype=float)
     hs = np.array([float(p[1]) for p in points], dtype=float)
@@ -187,8 +187,8 @@ def power_fit(points) -> tuple[float, float]:
         raise DomainError("power fit needs strictly positive coordinates")
     if xs.max() / xs.min() < 10.0:
         raise DomainError("power fit needs at least one decade of x spread")
-    tau, log_c = np.polyfit(np.log(xs), np.log(hs), 1)
-    return float(math.exp(log_c)), float(tau)
+    tau, log_c = line_fit(np.log(xs), np.log(hs))
+    return math.exp(log_c), tau
 
 
 class ConjugacyPair(namedtuple("ConjugacyPair", "sys_0 sys_1 h_scale m0_shift")):
@@ -432,16 +432,14 @@ def order_probe(sys: ModelSystem) -> OrderProbeReport:
     """Measure the tangency order from return exponents alone.
 
     Probes q from the positive unstable side at x_j = 0.1 * 2^-j, records
-    the exponent l_j that returns phi(q + x_j e_1) to the fundamental
-    domain, and checks that |mu|^-l_j scales like x_j^3.
+    the exponent l_j returning phi(q + x_j e_1) to the fundamental domain,
+    and checks that |mu|^-l_j scales like x_j^3 (slope by ``line_fit``).
     """
     js = _PROBE_LEVELS
     levels = [_probe_level(sys, j) for j in js]
     ratios = [r for _, _, r in levels]
     band_lo, band_hi = min(ratios), max(ratios)
-    log_x = np.log([x for x, _, _ in levels])
-    log_v = np.array([-l * math.log(abs(sys.mu)) for _, l, _ in levels])
-    slope = float(np.polyfit(log_x, log_v, 1)[0])
+    slope, _ = line_fit(np.log([x for x, _, _ in levels]), [-l * math.log(abs(sys.mu)) for _, l, _ in levels])
     extended = [_probe_level(sys, js[-1] + 1), _probe_level(sys, js[-1] + 2)]
     ext_ratios = ratios + [r for _, _, r in extended]
     slack = 1.0 + 1e-9

@@ -1,5 +1,5 @@
-"""Small shared numerics: guarded Newton iteration, the bracketed bisection
-behind every root search of the package, and the real roots of polynomials.
+"""Small shared numerics: guarded Newton, the bracketed bisection behind
+every root search, the real roots of polynomials and the least-squares line.
 
 Every search has one stop rule: an exact zero at a trial point, or the
 collapse of the bracket onto two neighbouring doubles.  Trial points are ITP
@@ -38,9 +38,24 @@ from typing import Callable
 
 from .errors import NumericError
 
-__all__ = ["Polynomial", "real_roots", "root_count", "solve_newton"]
+__all__ = ["Polynomial", "line_fit", "real_roots", "root_count", "solve_newton"]
 
 _MAX_NEWTON_STEPS = 60
+
+
+def line_fit(xs, ys) -> tuple[float, float]:
+    """(slope, intercept) of the least-squares line through (xs[i], ys[i]).
+
+    The closed form on data centred at the means, with correctly rounded
+    sums, so data that lie exactly on a line with exact means give its slope
+    and intercept exactly.  Needs at least two distinct xs: the callers
+    check a spread of levels or decades first.
+    """
+    xs, ys = list(map(float, xs)), list(map(float, ys))
+    x_mean, y_mean = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+    dxs = [x - x_mean for x in xs]
+    slope = math.fsum(dx * (y - y_mean) for dx, y in zip(dxs, ys)) / math.fsum(dx * dx for dx in dxs)
+    return slope, y_mean - slope * x_mean
 
 
 def solve_newton(

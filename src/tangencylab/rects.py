@@ -32,7 +32,7 @@ from .errors import (
 )
 from .leaves import alpha, arc_height, t_window
 from .model import ModelSystem, Point, Rect, _phi_parts
-from .numerics import Polynomial, real_roots, root_count
+from .numerics import Polynomial, line_fit, real_roots, root_count
 
 __all__ = [
     "SnRectangle",
@@ -285,15 +285,13 @@ def first_valid_n(sys: ModelSystem) -> int:
 def scaling_fit(pairs, lam: float) -> tuple[float, float]:
     """Fit value ~ C * |lam|^(kappa * n) over (n, value) pairs.
 
-    Returns (kappa, C) from least squares on log(value) against
-    n * log|lam|.  Needs at least five levels and positive values.
+    Returns (kappa, C) from :func:`numerics.line_fit` of log(value) against
+    n * log|lam|.  Needs at least five distinct levels and positive values.
     """
     pts = [(int(n), float(v)) for n, v in pairs]
-    if len(pts) < 5:
-        raise DomainError("scaling fit needs at least five levels")
+    if len({n for n, _ in pts}) < 5:
+        raise DomainError("scaling fit needs at least five distinct levels")
     if any(v <= 0.0 for _, v in pts):
         raise DomainError("scaling fit needs positive values")
-    xs = np.array([n * math.log(abs(lam)) for n, _ in pts])
-    ys = np.log(np.array([v for _, v in pts]))
-    kappa, intercept = np.polyfit(xs, ys, 1)
-    return float(kappa), float(math.exp(intercept))
+    kappa, intercept = line_fit([n * math.log(abs(lam)) for n, _ in pts], np.log([v for _, v in pts]))
+    return kappa, math.exp(intercept)

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import shutil
 import subprocess
@@ -6,6 +7,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tangencylab as tl
@@ -45,7 +47,9 @@ def test_load_reference_config():
         "moduli",
         "conjugacy",
     )
-    assert len(cfg.sha256) == 64
+    # hashlib is the oracle: the package takes its digest from CPython's
+    # built-in SHA-256 instead.
+    assert cfg.sha256 == hashlib.sha256(CONFIG.read_bytes()).hexdigest()
 
 
 def test_unknown_keys_rejected(tmp_path):
@@ -100,7 +104,7 @@ def test_validate_command_passes(ref_config, tmp_path):
     rep = json.loads((out / "report.json").read_text())
     assert rep["failed"] == []
     assert rep["command"] == "validate"
-    assert len(rep["config_sha256"]) == 64
+    assert rep["config_sha256"] == hashlib.sha256(ref_config.read_bytes()).hexdigest()
 
 
 def test_degenerate_system_exits_one(tmp_path):
@@ -439,7 +443,8 @@ def test_entry_point_runs(tmp_path):
 
 
 # Run in a fresh interpreter: the top-level packages a reference all run
-# imports beyond the standard library and tangencylab itself.
+# imports beyond the standard library and tangencylab itself, then the
+# OpenSSL-backed hash modules loaded by the end of the run.
 _IMPORT_PROBE = """
 import sys
 before = set(sys.modules)
@@ -447,19 +452,42 @@ from tangencylab.cli import run
 run(sys.argv[1], "all", out_dir=sys.argv[2])
 imported = {name.partition(".")[0] for name in set(sys.modules) - before}
 print(sorted(imported - set(sys.stdlib_module_names) - {"tangencylab"}))
+print(sorted({"hashlib", "_hashlib"} & set(sys.modules)))
 """
 
 
-def test_all_run_imports_no_third_party_module_but_numpy(tmp_path):
-    # pyproject declares numpy as the only runtime dependency; scipy and
-    # sympy may be installed too, so a stray import would otherwise pass.
+@pytest.fixture(scope="module")
+def import_probe(tmp_path_factory):
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, str(CONFIG), str(tmp_path / "out")],
+        [sys.executable, "-c", _IMPORT_PROBE, str(CONFIG), str(tmp_path_factory.mktemp("probe") / "out")],
         capture_output=True,
         text=True,
         check=True,
     )
-    assert proc.stdout.splitlines()[-1] == "['numpy']"
+    return proc.stdout.splitlines()[-2:]
+
+
+def test_all_run_imports_no_third_party_module_but_numpy(import_probe):
+    # pyproject declares numpy as the only runtime dependency; scipy and
+    # sympy may be installed too, so a stray import would otherwise pass.
+    assert import_probe[0] == "['numpy']"
+
+
+def test_all_run_loads_no_openssl_hash_module(import_probe):
+    # hashlib always loads OpenSSL's libcrypto, about 3.6 MB of peak RSS,
+    # for the one digest of a config.
+    assert import_probe[1] == "[]"
+
+
+def test_all_run_calls_no_lapack_least_squares(ref_config, tmp_path, monkeypatch):
+    # Every fit is numerics.line_fit's closed form: the first LAPACK least
+    # squares call would allocate OpenBLAS workspace, about 1.3 MB of peak RSS.
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK least squares called")
+
+    monkeypatch.setattr(np, "polyfit", refuse)
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    assert run(ref_config, "all", out_dir=str(tmp_path / "out")) == 0
 
 
 def test_svg_rejects_degenerate_series(tmp_path):

@@ -1,6 +1,6 @@
 """The shared numerical kernels: bisection, Newton with its fallback, the
-real roots of polynomials, the log-space power, the polynomial jet of phi
-and the window scan."""
+real roots of polynomials, the least-squares line, the log-space power, the
+polynomial jet of phi and the window scan."""
 
 import math
 import struct
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from tangencylab import numerics
 from tangencylab.errors import NumericError
 from tangencylab.model import _DIRECT_POW_LIMIT, _poly, _scale_power, _window_power, signed_power
-from tangencylab.numerics import Polynomial, _bisect, real_roots, root_count, solve_newton
+from tangencylab.numerics import Polynomial, _bisect, line_fit, real_roots, root_count, solve_newton
 
 
 def _counted(f):
@@ -292,6 +292,46 @@ def test_newton_fallback_without_sign_change_reports_residual():
     with pytest.raises(NumericError, match="no sign change") as info:
         solve_newton(lambda x: x * x + 1.0, lambda x: 2.0 * x, 0.5, tol=1e-12, bracket=(0.0, 1.0))
     assert info.value.residual == 1.25
+
+
+# -- least-squares line -------------------------------------------------------
+
+
+@st.composite
+def _line_data(draw):
+    """4-40 points with distinct xs spread over at least 1 inside [-30, 30],
+    the range of the callers' abscissas (levels n, n*ln|lam|, log x), on a
+    line with up to unit jitter, like m(n)'s staircase."""
+    xs = draw(st.lists(st.floats(-30.0, 30.0), min_size=4, max_size=40, unique=True).filter(lambda v: max(v) - min(v) >= 1.0))
+    slope, intercept = draw(st.floats(-70.0, 70.0)), draw(st.floats(-50.0, 50.0))
+    jitter = draw(st.lists(st.floats(-1.0, 1.0), min_size=len(xs), max_size=len(xs)))
+    return xs, [slope * x + intercept + j for x, j in zip(xs, jitter)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_line_data())
+def test_line_fit_agrees_with_polyfit(data):
+    # np.polyfit is the oracle.  Each value is compared relative to the
+    # magnitudes it is formed from, since a slope or intercept near 0 is a
+    # difference of larger terms in either method: the largest |y| over the
+    # spread of the xs for the slope, and that |y| plus the slope's scale
+    # times the mean x for the intercept.  Below the smallest normal double,
+    # subnormal rounding sets the difference.
+    xs, ys = data
+    slope, intercept = line_fit(np.array(xs), np.array(ys))
+    want_slope, want_intercept = np.polyfit(xs, ys, 1)
+    y_size = max(map(abs, ys))
+    slope_scale = max(abs(want_slope), y_size / np.std(xs))
+    intercept_scale = max(abs(want_intercept), y_size + slope_scale * abs(np.mean(xs)))
+    tiny = np.finfo(float).tiny
+    assert abs(slope - want_slope) <= 1e-12 * slope_scale + tiny
+    assert abs(intercept - want_intercept) <= 1e-12 * intercept_scale + tiny
+
+
+def test_line_fit_is_exact_on_exactly_linear_data():
+    xs = [float(x) for x in range(8, 19)]
+    assert line_fit(xs, [3.0 * x - 7.0 for x in xs]) == (3.0, -7.0)
+    assert line_fit(xs, xs) == (1.0, 0.0)
 
 
 # -- log-space power ------------------------------------------------------------

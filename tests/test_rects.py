@@ -148,6 +148,14 @@ def test_scaling_exponents_over_levels(ref):
     assert kd == pytest.approx(1.0, abs=0.03)
 
 
+def test_scaling_fit_needs_five_distinct_levels():
+    # numerics.line_fit needs distinct abscissas; a repeated level is not one
+    with pytest.raises(tl.DomainError, match="five distinct levels"):
+        scaling_fit([(8, 1.0), (8, 2.0), (9, 0.5), (10, 0.2), (11, 0.1)], 0.3)
+    kappa, _ = scaling_fit([(n, 0.3 ** (1.5 * n)) for n in range(8, 13)], 0.3)
+    assert kappa == pytest.approx(1.5, rel=1e-12)
+
+
 def test_vertical_params_solves_the_tangent_equation(ref):
     # b*y_n(1+t) + 3c t^2 = 0 at the returned parameters, up to Newton tol
     from tangencylab.leaves import arc_height
