@@ -273,14 +273,18 @@ def _offset_gain(sys: ModelSystem, atoms: tuple[tuple, ...], point: Point) -> fl
     by |lam|^k and the slope by (lam/mu)^k, and a phi atom at p = (1 + x, y)
     scales the offset by |det Dphi(p)| / |F_x + F_y * slope|, phi = (F, G),
     and turns the slope into (G_x + G_y * slope) / (F_x + F_y * slope).  The
-    points are the ones ``MapWord.apply`` takes to the bit.
+    points are the ones ``MapWord.apply`` takes to the bit.  The point and
+    slope are transported up to the last phi atom only: the linear atoms
+    after it add k ln|lam| each, in order, and read neither.
     """
     log_lam = math.log(abs(sys.lam))
+    last_phi = max((i for i, atom in enumerate(atoms) if atom[0] != "linear"), default=-1)
     gain, slope = 0.0, 0.0
-    for atom in atoms:
+    for i, atom in enumerate(atoms):
         if atom[0] == "linear":
             gain += atom[1] * log_lam
-            point, slope = apply_linear(sys, point, atom[1]), _scale_power(slope, sys.lam / sys.mu, atom[1])
+            if i < last_phi:
+                point, slope = apply_linear(sys, point, atom[1]), _scale_power(slope, sys.lam / sys.mu, atom[1])
         else:
             (fx, fy), (gx, gy) = _phi_jacobian(sys, point[0] - 1.0, point[1])
             run = fx + fy * slope
@@ -299,8 +303,9 @@ def box_metrics(sys: ModelSystem, box: Box) -> tuple[float, float, float]:
     starts as top minus bottom and L as bottom minus delta, and each atom
     adds the same log factor to both (``_offset_gain``) at the bottom
     edge's images of its _SAMPLES Lobatto parameters; the largest sum is
-    taken.  A B_1 gets i_n ln|lam| plus the logs of its S_n's height and
-    bottom ordinate, exactly.
+    taken.  A word of linear atoms only has one gain, whatever the sample,
+    and it is computed once.  A B_1 gets i_n ln|lam| plus the logs of its
+    S_n's height and bottom ordinate, exactly.
 
     The premise is that the offsets are far below the curvature scale of
     every atom, so the second-order term is negligible.  The expansion and
@@ -309,11 +314,9 @@ def box_metrics(sys: ModelSystem, box: Box) -> tuple[float, float, float]:
     below the O(1) scale of the maps; the second-order term is smaller than
     the first by as much.  No edge is inverted and no handle evaluated.
     """
-    bottom = box.bottom
-    gain = max(
-        _offset_gain(sys, box.word.atoms, bottom.base_point(float(s)))
-        for s in _lobatto(bottom.s_lo, bottom.s_hi, _SAMPLES)
-    )
+    bottom, atoms = box.bottom, box.word.atoms
+    ss = _lobatto(bottom.s_lo, bottom.s_hi, _SAMPLES) if any(atom[0] != "linear" for atom in atoms) else (bottom.s_lo,)
+    gain = max(_offset_gain(sys, atoms, bottom.base_point(float(s))) for s in ss)
     y = bottom.start[1]
     return box.x_hi - box.x_lo, math.log(abs(box.top.start[1] - y)) + gain, math.log(abs(y - box.delta.start[1])) + gain
 

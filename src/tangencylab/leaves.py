@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model import _MEMBERSHIP_TOL, ModelSystem, Point, _phi_jacobian, _phi_parts, _poly, signed_power
-from .numerics import Polynomial, line_fit, solve_newton
+from .numerics import Polynomial, line_fit, real_roots, solve_newton
 
 __all__ = [
     "SeedArc",
@@ -42,7 +42,8 @@ class SeedArc:
 
     ``coeffs`` are ascending polynomial coefficients; y0 must be positive on
     the whole domain so every image arc stays on one side of the unstable
-    axis.
+    axis: y0's least value is taken at an end of the domain or at a sign
+    change of y0' (``real_roots``), so no dip hides between samples.
     """
 
     domain: tuple[float, float]
@@ -57,7 +58,7 @@ class SeedArc:
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
         if self.z0 <= 0.0:
             raise DomainError("seed must cross the stable axis at positive height")
-        if self.eval(np.linspace(lo, hi, 2001)).min() <= 0.0:
+        if min(map(self.eval, (lo, hi, *real_roots(Polynomial(self.coeffs).derivative(), lo, hi)))) <= 0.0:
             raise DomainError("seed arc must be positive on its whole domain")
 
     @property

@@ -37,7 +37,8 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .cases import classify_system
-from .errors import ChartExitError, DomainError, WrongQuadrantError
+from .errors import ChartExitError, DomainError, InconclusiveError, WrongQuadrantError
+from .numerics import Polynomial, real_roots
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from .leaves import SeedArc
@@ -417,9 +418,20 @@ class ConditionReport(NamedTuple):
         self.entries.append(Condition(name, bool(passed), measured, detail))
 
 
-_TAU_RESOLUTION = 256
-_TAU_BLOCK_ROWS = 16
 _TAU_CACHE: dict[ModelSystem, tuple[float, float]] = {}
+
+
+def _tau_candidates(sys: ModelSystem, rect: Rect) -> list[Point]:
+    """The offsets (x, y) from q of ``rect``'s corners and of the sign changes
+    of each edge polynomial's derivative, the edge polynomial being
+    ``_phi_parts`` run on a Polynomial in the edge's free coordinate."""
+    var, xs, ys = Polynomial((0.0, 1.0)), (rect.x_lo - 1.0, rect.x_hi - 1.0), (rect.y_lo, rect.y_hi)
+    points = [(x, y) for x in xs for y in ys]
+    for y in ys:
+        points += [(x, y) for x in real_roots(_phi_parts(sys, var, y)[0].derivative(), *xs)]
+    for x in xs:
+        points += [(x, y) for y in real_roots(_phi_parts(sys, x, var)[0].derivative(), *ys)]
+    return points
 
 
 def tau_bounds(sys: ModelSystem) -> tuple[float, float]:
@@ -429,11 +441,14 @@ def tau_bounds(sys: ModelSystem) -> tuple[float, float]:
     For the reference sign pattern the extremes sit at the rectangle corners
     and approach (c, a + 27c) as eps -> 0.
 
-    The 256 x 256 grid is evaluated in blocks of 16 rows, 16 abscissas
-    broadcast against 256 ordinates: the elementwise arithmetic of one
-    meshgrid, so the extremes are the same doubles at a sixteenth of the
-    temporaries.  The pair is kept per system like ``rects.build_sn``'s S_n;
-    a failure is not stored and raises on every call.
+    The range is exact, not sampled.  The offsets from q on R are at most
+    X = (1+eps)^3 - 1 and Y = eps^3, so d/dy pr_x(phi) = a + b x + d/dy H1
+    keeps the sign of a on R when |a| > |b| X + sum |j h| X^i Y^(j-1) over
+    H1's terms h x^i y^j.  Then R holds no interior extremum, and the range
+    runs over pr_x(phi) at ``_tau_candidates``; otherwise InconclusiveError
+    names the failed certificate.  A NaN at a candidate makes both bounds
+    NaN.  The pair is kept per system like ``rects.build_sn``'s S_n; a
+    failure is not stored and raises on every call.
     """
     bounds = _TAU_CACHE.get(sys)
     if bounds is not None:
@@ -445,16 +460,12 @@ def tau_bounds(sys: ModelSystem) -> tuple[float, float]:
     for corner in rect.corners():
         if not sys.in_uq(corner):
             raise ChartExitError(f"return rectangle corner {corner} leaves U(q)")
-    xs = np.linspace(rect.x_lo, rect.x_hi, _TAU_RESOLUTION) - 1.0
-    ys = np.linspace(rect.y_lo, rect.y_hi, _TAU_RESOLUTION)
-    lows, highs = [], []
-    for row in range(0, _TAU_RESOLUTION, _TAU_BLOCK_ROWS):
-        px = _phi_parts(sys, xs[row : row + _TAU_BLOCK_ROWS, None], ys[None, :])[0]
-        lows.append(px.min())
-        highs.append(px.max())
-    # np.min/np.max of the block extremes propagate a NaN as one reduction would.
-    lo = float(np.min(lows))
-    hi = float(np.max(highs))
+    t, big_x = sys.transition, rect.x_hi - 1.0
+    rest = abs(t.b) * big_x + sum(abs(j * h) * big_x**i * rect.y_hi ** (j - 1) for i, j, h in t.h1_terms if j)
+    if not abs(t.a) > rest:
+        raise InconclusiveError(f"|a|={abs(t.a):.6g} does not exceed {rest:.6g}, the bound of |b x + d/dy H1| on R_eps: pr_x(phi) may have an interior extremum")
+    values = [_phi_parts(sys, x, y)[0] for x, y in _tau_candidates(sys, rect)]
+    lo, hi = (math.nan, math.nan) if any(map(math.isnan, values)) else (min(values), max(values))
     if lo <= 0.0 <= hi:
         raise WrongQuadrantError(
             "image of the return rectangle crosses pr_x = 0; "
@@ -509,7 +520,7 @@ def validate(sys: ModelSystem) -> ConditionReport:
                 f"tau0={tau0:.6g} tau1={tau1:.6g} bound={1.0 / eps:.6g}",
                 f"corner approximations: c={t.c:g}, a+27c={t.a + 27.0 * t.c:g}",
             )
-        except (WrongQuadrantError, ChartExitError) as exc:
+        except (WrongQuadrantError, ChartExitError, InconclusiveError) as exc:
             rep.add("tau_upper", False, "undefined", str(exc))
     else:
         rep.add("tau_upper", False, "skipped", "prior conditions failed")

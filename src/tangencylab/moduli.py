@@ -66,14 +66,23 @@ class ReturnRecord(NamedTuple):
     c_n: float
 
 
+_RN_CACHE: dict[tuple[ModelSystem, int], Point] = {}
+_RECORD_CACHE: dict[tuple[ModelSystem, int], ReturnRecord] = {}
+
+
 def pick_rn(sys: ModelSystem, n: int) -> Point:
-    """The distinguished point of gamma'_n: the phi-image of the arc tip."""
+    """The distinguished point of gamma'_n: the phi-image of the arc tip, kept
+    per (system, n) like ``rects.build_sn``'s S_n; a failed call is not stored."""
+    r_n = _RN_CACHE.get((sys, n))
+    if r_n is not None:
+        return r_n
     if n < 1 or n > sys.n_max:
         raise DomainError(f"n={n} outside the workable range 1..{sys.n_max}")
     case, adapt = classify_system(sys)
     if not adapt.adaptable:
         raise DomainError(f"case {case.label} does not admit the return construction")
-    return fold_point(sys, n, 0.0)
+    r_n = _RN_CACHE[sys, n] = fold_point(sys, n, 0.0)
+    return r_n
 
 
 def _fundamental_exponent(sys: ModelSystem, x: float) -> int:
@@ -104,13 +113,18 @@ def return_exponent(sys: ModelSystem, r_n: Point) -> tuple[int, Point]:
 
 
 def return_record(sys: ModelSystem, n: int) -> ReturnRecord:
+    """Level n's ``ReturnRecord``, kept per (system, n) like ``pick_rn``'s point."""
+    rec = _RECORD_CACHE.get((sys, n))
+    if rec is not None:
+        return rec
     r_n = pick_rn(sys, n)
     m_n, x_n = return_exponent(sys, r_n)
     log_mu = math.log(abs(sys.mu))
     s_n = -math.log(r_n[0]) / log_mu
     t = sys.transition
     log_c = math.log(abs(t.a) * sys.seed.z0) + n * math.log(abs(sys.lam)) + s_n * log_mu
-    return ReturnRecord(n, r_n, m_n, x_n, s_n, math.exp(log_c))
+    rec = _RECORD_CACHE[sys, n] = ReturnRecord(n, r_n, m_n, x_n, s_n, math.exp(log_c))
+    return rec
 
 
 def _levels(n_range, minimum: int, error: str) -> list[int]:

@@ -18,10 +18,13 @@ kept for inspection.
 Inside a differing CSV or JSON file, each differing cell or leaf is printed
 with its column or key path and, where both sides are finite numbers, their
 distance in ulps (units in the last place, counted between the two
-doubles); any other difference (text, a flag, a changed shape) is printed
-as "text".  A drift table closes the output: one row per file and column or
-key (list indices dropped) with the count of differing values and the
-largest distance, and one row per file with its largest distance.
+doubles) and their relative difference |old - new| / max(|old|, |new|);
+any other difference (text, a flag, a changed shape) is printed as "text".
+The relative difference ranks a move to or from 0.0 as 1, where the ulp
+distance counts every double in between (4.6e18 from 0.0 to 1.0).  A drift
+table closes the output: one row per file and column or key (list indices
+dropped) with the count of differing values and the largest distance and
+relative difference, and one row per file with its largest ones.
 
 The set, generated from this file's checkout: the reference config and the
 benchmark's ``geometry`` config, both instances of instance-sweep seeds
@@ -119,6 +122,17 @@ def _ulps(a, b) -> int | None:
     return abs(ordered(a) - ordered(b))
 
 
+def _relative(a, b) -> float | None:
+    """|a - b| / max(|a|, |b|) between two finite numbers (0.0 when both are
+    zero), None when either is not a finite number.  A move to or from 0.0
+    reads 1, where its ulp distance counts every double in between
+    (4.6e18 from 0.0 to 1.0)."""
+    if _ulps(a, b) is None:
+        return None
+    scale = max(abs(a), abs(b))
+    return abs(a - b) / scale if scale else 0.0
+
+
 def _number(text: str):
     try:
         return float(text)
@@ -157,20 +171,23 @@ def value_diffs(name: str, old: bytes | None, new: bytes | None) -> list[tuple[s
     return [(key, a.get(key), b.get(key), _ulps(a.get(key), b.get(key))) for key in sorted(set(a) | set(b)) if a.get(key) != b.get(key)]
 
 
-def drift_table(rows: list[tuple[str, str, int | None]]) -> list[str]:
-    """Lines of the drift table over (file, key path, ulps) rows."""
-    groups: dict[tuple[str, str], list[int | None]] = {}
-    for file, key, ulps in rows:
-        groups.setdefault((file, re.sub(r"\[\d+\]", "[]", key)), []).append(ulps)
+def drift_table(rows: list[tuple[str, str, int | None, float | None]]) -> list[str]:
+    """Lines of the drift table over (file, key path, ulps, relative
+    difference) rows."""
+    groups: dict[tuple[str, str], list[tuple[int | None, float | None]]] = {}
+    for file, key, ulps, rel in rows:
+        groups.setdefault((file, re.sub(r"\[\d+\]", "[]", key)), []).append((ulps, rel))
 
-    def worst(values: list[int | None]) -> str:
-        return "text" if None in values else str(max(values))
+    def worst(values: list[tuple[int | None, float | None]]) -> str:
+        if any(ulps is None for ulps, _ in values):
+            return f"{'text':>8} {'text':>9}"
+        return f"{max(ulps for ulps, _ in values):>8} {max(rel for _, rel in values):>9.3g}"
 
-    lines = [f"{'file':<14} {'column or key':<60} {'values':>6} {'max ulps':>8}"]
-    lines += [f"{file:<14} {key:<60} {len(v):>6} {worst(v):>8}" for (file, key), v in sorted(groups.items())]
+    lines = [f"{'file':<14} {'column or key':<60} {'values':>6} {'max ulps':>8} {'max rel':>9}"]
+    lines += [f"{file:<14} {key:<60} {len(v):>6} {worst(v)}" for (file, key), v in sorted(groups.items())]
     for file in sorted({file for file, _ in groups}):
         values = [u for (f, _), v in groups.items() if f == file for u in v]
-        lines.append(f"{file:<14} {'(whole file)':<60} {len(values):>6} {worst(values):>8}")
+        lines.append(f"{file:<14} {'(whole file)':<60} {len(values):>6} {worst(values)}")
     return lines
 
 
@@ -199,9 +216,10 @@ def main(argv: list[str]) -> int:
         print(f"{name}: {' '.join(files)}")
         for file, values in files.items():
             for key, a, b, ulps in values:
-                shift = "differs" if key == "<file>" else f"{a!r} -> {b!r} ({'text' if ulps is None else f'{ulps} ulps'})"
+                rel = _relative(a, b)
+                shift = "differs" if key == "<file>" else f"{a!r} -> {b!r} ({'text' if ulps is None else f'{ulps} ulps, relative {rel:.3g}'})"
                 print(f"  {file} {key}: {shift}")
-                rows.append((file, key, ulps))
+                rows.append((file, key, ulps, rel))
     if rows:
         print("\n".join(drift_table(rows)))
     print(f"{len(configs) - len(changed)} of {len(configs)} configs identical; outputs under {work}")

@@ -129,6 +129,24 @@ def test_box_metrics_evaluation_budget(ref, monkeypatch):
     assert calls == []
 
 
+# (n, k) -> box_metrics' (W, ln H, ln L) as float.hex over the reference
+# cascades at levels 8-12: a B_1's word is f^(i_n) alone, whose gain is read
+# once, and B_2 at level 12 stops its transport at the phi atom.
+_BOX_METRICS_HEX = {
+    (8, 1): ("0x1.3044ef8235900p-8", "-0x1.3d9a86622a1c5p+9", "-0x1.3b71b699fce52p+9"),
+    (9, 1): ("0x1.4ea45ad5cd800p-9", "-0x1.62a032e7e6998p+9", "-0x1.6029f2b6bc4e6p+9"),
+    (10, 1): ("0x1.68d47b3d5e800p-10", "-0x1.870bc3a5bd298p+9", "-0x1.84483fba90e88p+9"),
+    (11, 1): ("0x1.8cd946b080800p-11", "-0x1.ac11702b79a6cp+9", "-0x1.a900c0e9320a4p+9"),
+    (12, 1): ("0x1.b4768206ef000p-12", "-0x1.d1171cb13623ep+9", "-0x1.cdb94f6c7c6e5p+9"),
+    (12, 2): ("0x1.b278d824baec0p-6", "-0x1.717a448c50d31p+10", "-0x1.6fcb5de9f3f85p+10"),
+}
+
+
+def test_box_metrics_bits_at_levels_8_to_12(ref):
+    got = {(n, box.k): tuple(map(float.hex, box_metrics(ref, box))) for n in level_range(ref, 8, 12) for box in tl.run_cascade(ref, n).boxes}
+    assert got == _BOX_METRICS_HEX
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     lo=st.floats(-1e6, 1e6, allow_nan=False),

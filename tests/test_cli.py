@@ -265,7 +265,8 @@ def test_cascade_skips_levels_whose_b1_cannot_return(bench_workloads, tmp_path):
 
 def test_reference_run_work_counts(ref_config, tmp_path, monkeypatch):
     # One reference all run from empty caches: the fold polynomials leave
-    # 193 fold_point calls, those of build_sn and pick_rn (8,221 with 255
+    # 127 fold_point calls, those of build_sn and of the 22 arc tips that
+    # pick_rn keeps (193 while pick_rn recomputed each tip, 8,221 with 255
     # sampled curve points per S_n, 1,386 while jn_slope_check evaluated its
     # 600 samples one by one; the array path recomputes 1 sample near a side
     # of S_n), and no Newton solve falls back to bisection.  The cascade
@@ -277,6 +278,7 @@ def test_reference_run_work_counts(ref_config, tmp_path, monkeypatch):
     # its maxima: both screens settle the rest.
     monkeypatch.setattr(rects, "_SN_CACHE", {})
     monkeypatch.setattr(rects, "_FOLD_CACHE", {})
+    monkeypatch.setattr(moduli, "_RN_CACHE", {})
     counts = {"fold_point": 0, "_bisect_or_fail": 0, "eval": 0, "apply": 0, "invert_x": 0, "return_frame": 0}
 
     def counted(name, fn):
@@ -295,7 +297,7 @@ def test_reference_run_work_counts(ref_config, tmp_path, monkeypatch):
     monkeypatch.setattr(cascade.MapWord, "apply", counted("apply", cascade.MapWord.apply))
     monkeypatch.setattr(returns, "return_frame", counted("return_frame", returns.return_frame))
     assert run(ref_config, "all", out_dir=str(tmp_path / "out")) == 0
-    assert 0 < counts["fold_point"] <= 193
+    assert 0 < counts["fold_point"] <= 127
     assert counts["_bisect_or_fail"] == 0
     assert counts["eval"] <= 96
     assert counts["apply"] <= 116
@@ -348,6 +350,34 @@ def test_reference_run_root_polish_work(ref_config, tmp_path, monkeypatch):
         "extended_params": 223,
         "_first_crossing": 189,
     }
+
+
+def test_reference_run_apply_linear_work(ref_config, tmp_path, monkeypatch):
+    # One reference all run from empty caches makes 422 apply_linear calls
+    # and computes 22 return records.  It made 642 and 44 while modulus_fit
+    # and the conjugacy pairs recomputed the records and arc tips that the
+    # moduli command had made, and _offset_gain carried each sample's point
+    # and slope through the linear atom after a word's last phi atom.
+    for module, name in ((rects, "_SN_CACHE"), (rects, "_FOLD_CACHE"), (moduli, "_RN_CACHE"), (moduli, "_RECORD_CACHE")):
+        monkeypatch.setattr(module, name, {})
+    monkeypatch.setattr(tl.model, "_TAU_CACHE", {})
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    apply_linear = counted("apply_linear", tl.model.apply_linear)
+    for module in (tl.model, cascade, moduli, rects, returns):
+        if hasattr(module, "apply_linear"):
+            monkeypatch.setattr(module, "apply_linear", apply_linear)
+    monkeypatch.setattr(moduli, "return_exponent", counted("return_exponent", moduli.return_exponent))
+    assert run(ref_config, "all", out_dir=str(tmp_path / "out")) == 0
+    assert counts["apply_linear"] <= 430
+    assert counts["return_exponent"] == len(moduli._RECORD_CACHE) == 22
 
 
 def test_cascade_evaluates_each_edge_point_once(ref_config, tmp_path, monkeypatch):

@@ -108,3 +108,27 @@ def test_seed_eval_is_polyval_bit_for_bit(z0, tail, x):
     coeffs = (z0, *(u * 0.18 / 2**i for i, u in enumerate(tail, 1)))
     seed = tl.SeedArc((-2.0, 2.0), coeffs)
     assert seed.eval(x) == float(np.polyval(coeffs[::-1], x))
+
+
+def test_seed_dipping_between_samples_is_rejected():
+    # 1e6 (x - 0.3003)^2 - 1e-3 is negative only on (0.30027, 0.30033),
+    # between two points of a 2,001-sample grid over (-0.5, 1.5)
+    coeffs = (1e6 * 0.3003**2 - 1e-3, -2e6 * 0.3003, 1e6)
+    assert np.polyval(coeffs[::-1], np.linspace(-0.5, 1.5, 2001)).min() > 0.0
+    with pytest.raises(tl.DomainError, match="positive on its whole domain"):
+        tl.SeedArc((-0.5, 1.5), coeffs)
+
+
+def test_seed_touching_zero_is_rejected():
+    # (x - 0.3125)^2 touches 0 off the 2,001-sample grid without changing
+    # sign; its coefficients are exact, so y0 is exactly 0.0 at y0's zero
+    coeffs = (0.09765625, -0.625, 1.0)
+    assert np.polyval(coeffs[::-1], np.linspace(-0.5, 1.5, 2001)).min() > 0.0
+    with pytest.raises(tl.DomainError, match="positive on its whole domain"):
+        tl.SeedArc((-0.5, 1.5), coeffs)
+
+
+def test_reference_and_tilted_seeds_load(ref, tilted):
+    for sys in (ref, tilted):
+        seed = sys.seed
+        assert tl.SeedArc(seed.domain, seed.coeffs) == seed

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tangencylab as tl
@@ -247,22 +247,6 @@ def test_jacobian_phi_matches_central_differences():
                 assert jac[row, col] == pytest.approx((plus[row] - minus[row]) / (2.0 * h), rel=1e-8, abs=1e-9)
 
 
-def _tau_bounds_one_grid(sys):
-    """tau_bounds as one 256 x 256 meshgrid: the formula the row blocks
-    must reproduce bit for bit."""
-    eps = sys.epsilon
-    rect = tl.return_rectangle(eps)
-    xs = np.linspace(rect.x_lo, rect.x_hi, model._TAU_RESOLUTION) - 1.0
-    ys = np.linspace(rect.y_lo, rect.y_hi, model._TAU_RESOLUTION)
-    px = model._phi_parts(sys, *np.meshgrid(xs, ys, indexing="ij"))[0]
-    lo, hi = float(px.min()), float(px.max())
-    if lo <= 0.0 <= hi:
-        return tl.WrongQuadrantError
-    if hi < 0.0:
-        lo, hi = -hi, -lo
-    return (lo / eps**3, hi / eps**3)
-
-
 def _tau_bounds_uncached(sys):
     model._TAU_CACHE.pop(sys, None)
     try:
@@ -283,6 +267,16 @@ def _jet_terms(allowed):
     ).map(tuple)
 
 
+def _grid_range(sys):
+    """Least and largest pr_x(phi) on a 256 x 256 grid over R_eps, by numpy,
+    whose power does not round like libm's."""
+    rect = tl.return_rectangle(sys.epsilon)
+    xs = np.linspace(rect.x_lo, rect.x_hi, 256) - 1.0
+    ys = np.linspace(rect.y_lo, rect.y_hi, 256)
+    px = model._phi_parts(sys, *np.meshgrid(xs, ys, indexing="ij"))[0]
+    return float(px.min()), float(px.max())
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     mu=st.floats(1.005, 1.08),
@@ -290,14 +284,53 @@ def _jet_terms(allowed):
     h1=_jet_terms(_H1_ALLOWED),
     h2=_jet_terms(_H2_ALLOWED),
 )
-def test_tau_bounds_blocks_match_one_grid(mu, c, h1, h2):
+@example(mu=1.05, c=0.4, h1=((4, 0, -2.4),), h2=((2, 0, 0.5),))
+@example(mu=1.023669347892149, c=-1.0, h1=((0, 2, 0.0),), h2=((2, 0, 0.0),))
+def test_tau_bounds_are_the_exact_range(mu, c, h1, h2):
+    # |b| X + |d/dy H1| stays below 0.9 < |a| over these jets, so the
+    # certificate holds and the range is exact: a 256 x 256 grid lies inside
+    # it up to numpy's rounding, and both ends are attained at candidates.
+    # numpy's x**3 rounds apart from libm's by an ulp of the terms, not of
+    # the result, so the slack is 4 ulps of the range's largest magnitude:
+    # in the second example the top-left corner's value, about -eps^4, is
+    # eps^3 - eps^4 - eps^3 and the two roundings differ by 32 of its ulps.
+    # In the first, c x^3 - 2.4 x^4 peaks at x = 0.125 inside the bottom
+    # edge [0.05, 0.1576], and the top edge peaks next to it: tau1 is read
+    # there, not at a corner
     sys = tl.make_system(mu=mu, c=c, h1_terms=h1, h2_terms=h2)
-    assert _tau_bounds_uncached(sys) == _tau_bounds_one_grid(sys)
+    eps = sys.epsilon
+    values = [model._phi_parts(sys, x, y)[0] for x, y in model._tau_candidates(sys, tl.return_rectangle(eps))]
+    lo, hi = min(values), max(values)
+    grid_lo, grid_hi = _grid_range(sys)
+    slack = 4.0 * math.ulp(max(abs(lo), abs(hi)))
+    assert lo - slack <= grid_lo and grid_hi <= hi + slack
+    bounds = _tau_bounds_uncached(sys)
+    if lo <= 0.0 <= hi:
+        assert bounds is tl.WrongQuadrantError
+    else:
+        assert bounds == tuple(v / eps**3 for v in ((lo, hi) if lo > 0.0 else (-hi, -lo)))
 
 
-def test_tau_bounds_blocks_match_one_grid_on_named_systems(ref, tilted):
+def test_tau_bounds_reference_bits(ref, tilted):
+    # the reference extremes are corners: (c, a + 27c) eps^3 up to eps terms;
+    # the exact range is at most a few phi evaluations per system
+    assert tuple(map(float.hex, _tau_bounds_uncached(ref))) == ("0x1.0000000000000p+0", "0x1.d9a46fe923e5cp+4")
     for sys in (ref, tilted):
-        assert _tau_bounds_uncached(sys) == _tau_bounds_one_grid(sys)
+        assert len(model._tau_candidates(sys, tl.return_rectangle(sys.epsilon))) <= 12
+
+
+def test_tau_bounds_certificate_failure():
+    # 400 x^2 y in H1 adds up to 400 X^2 = 1.5 to d/dy pr_x(phi) on R_eps,
+    # more than |a| = 1, so no sign of the y partial is certified
+    sys = tl.make_system(h1_terms=((2, 1, 400.0),))
+    with pytest.raises(tl.InconclusiveError, match="interior extremum"):
+        _tau_bounds_uncached(sys)
+    with pytest.raises(tl.InconclusiveError):
+        tl.tau_bounds(sys)
+    assert sys not in model._TAU_CACHE
+    entry = {e.name: e for e in tl.validate(sys).entries}["tau_upper"]
+    assert (entry.passed, entry.measured) == (False, "undefined")
+    assert "interior extremum" in entry.detail
 
 
 def test_tau_bounds_stored_per_system(ref):

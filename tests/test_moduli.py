@@ -256,3 +256,32 @@ def test_record_consistency(n):
     assert rec.r_n[0] * 1.02**rec.s_n == pytest.approx(1.0, rel=1e-9)
     assert rec.c_n == pytest.approx(0.5 * 0.3**n * 1.02**rec.s_n, rel=1e-9)
     assert rec.m_n <= rec.s_n <= rec.m_n + 1
+
+
+def test_tips_and_records_are_kept_per_system(ref):
+    # systems compare by value, so an equal system gets the stored objects
+    for n in (8, 13):
+        assert pick_rn(ref, n) is pick_rn(tl.make_system(), n)
+        assert return_record(ref, n) is return_record(tl.make_system(), n)
+        assert return_record(ref, n).r_n is pick_rn(ref, n)
+
+
+@pytest.mark.parametrize("sys, n", [(tl.make_system(), 0), (tl.make_system(), 200), (tl.make_system(b=1.0), 10)])
+def test_failed_tips_raise_on_every_call(sys, n):
+    # out of the workable range, or a sign case without the construction:
+    # nothing is stored, so each call raises again
+    for fn in (pick_rn, return_record, pick_rn, return_record):
+        with pytest.raises(tl.DomainError):
+            fn(sys, n)
+    assert (sys, n) not in moduli._RN_CACHE and (sys, n) not in moduli._RECORD_CACHE
+
+
+def test_failed_record_raises_on_every_call():
+    # a < 0 with mu < 0 puts the tip left of W^s(p): the tip is kept, the
+    # record fails on its return exponent and is not stored
+    sys = tl.make_system(a=-1.0, mu=-1.02)
+    for _ in range(2):
+        assert pick_rn(sys, 10)[0] < 0.0
+        with pytest.raises(tl.WrongQuadrantError):
+            return_record(sys, 10)
+    assert (sys, 10) in moduli._RN_CACHE and (sys, 10) not in moduli._RECORD_CACHE
