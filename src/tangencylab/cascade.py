@@ -12,8 +12,10 @@ Curves are never discretized destructively: box edges are *handles*, a
 straight base segment plus a word of maps evaluated on demand, so every
 metric can be re-sampled at full precision at any depth.  Samples that feed
 only decisions (the monotonicity and escape scans, the edge slopes, the
-crossing arcs) are evaluated on arrays (``MapWord.images``); every number
-that is reported is evaluated in scalars (``MapWord.apply``).
+crossing arcs) are evaluated on arrays (``MapWord.images``), one pass per
+word: a box's edges share its word, and the three fold branches share the
+box's, so their samples go through one array.  Every number that is
+reported is evaluated in scalars (``MapWord.apply``).
 
 The vertical measures live in log space.  A box sits at about |lam|^(i_n)
 above the unstable axis (1e-401 at reference level 12), so its top, bottom
@@ -26,6 +28,7 @@ saturated exponentials.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from typing import NamedTuple
@@ -176,11 +179,18 @@ class CurveHandle:
             raise NumericError(f"abscissa {x_target:g} outside the handle's image range") from None
 
 
+@functools.lru_cache(maxsize=8)
+def _lobatto_unit(count: int) -> np.ndarray:
+    """The Lobatto nodes 1 - cos(pi j / (count - 1)) on [0, 2], read-only; the cascade's counts are 33 and 65."""
+    unit = 1.0 - np.cos(np.pi * np.arange(count) / (count - 1))
+    unit.flags.writeable = False
+    return unit
+
+
 def _lobatto(lo: float, hi: float, count: int) -> np.ndarray:
     """Chebyshev-Lobatto points on [lo, hi]: endpoint-including, clustered at
     the ends where the cascade curves bend."""
-    js = np.arange(count)
-    return lo + (hi - lo) * 0.5 * (1.0 - np.cos(np.pi * js / (count - 1)))
+    return lo + (hi - lo) * 0.5 * _lobatto_unit(count)
 
 
 # Lobatto count of every cascade sampler: the monotonicity check, the
@@ -244,24 +254,40 @@ def build_b1(sys: ModelSystem, sn: SnRectangle) -> Box:
     return Box("rectangle-like", xs[0], xs[1], top, bottom, delta, k=1)
 
 
-def _edge_points(sys: ModelSystem, handle: CurveHandle, count: int = 2 * _SAMPLES - 1) -> np.ndarray:
-    """(xs, ys): the handle's images at ``count`` Lobatto parameters of its
-    range, by ``MapWord.images``, for decisions only.  Where ``images``
-    gives up, the samples take the scalar path, which raises its error."""
-    ss = _lobatto(handle.s_lo, handle.s_hi, count)
-    images = handle.word.images(sys, *handle.base_point(ss))
-    return np.array([handle.eval(sys, float(s)) for s in ss]).T if images is None else np.array(images)
+def _edge_points(sys: ModelSystem, handles, count: int = 2 * _SAMPLES - 1):
+    """(xs, ys): a handle's images at ``count`` Lobatto parameters of its
+    range, by ``MapWord.images``, for decisions only.  Given a sequence of
+    handles that share one word, one (xs, ys) per handle, in order, from a
+    single ``images`` pass over all their samples.  Where a pass gives up,
+    the handles of a sequence take their own passes lazily, in order, and a
+    single handle takes the scalar path, which raises its error."""
+    group = (handles,) if isinstance(handles, CurveHandle) else handles
+    if not group:
+        return ()
+    sss = [_lobatto(h.s_lo, h.s_hi, count) for h in group]
+    images = group[0].word.images(sys, *map(np.concatenate, zip(*map(CurveHandle.base_point, group, sss))))
+    if images is not None:
+        pts = np.reshape(images, (2, len(group), count)).swapaxes(0, 1)
+        return pts if group is handles else pts[0]
+    if group is handles:
+        return (_edge_points(sys, h, count) for h in handles)
+    return np.array([handles.eval(sys, float(s)) for s in sss[0]]).T
 
 
-def _branch_points(sys: ModelSystem, n: int, word: MapWord, ts: np.ndarray) -> np.ndarray:
+def _branch_points(sys: ModelSystem, n: int, word: MapWord, ts: np.ndarray):
     """(xs, ys): the word's images of the n-th fold's points at the
-    parameters ts, on arrays like ``_edge_points``.  When a sample leaves
-    the arc window, the seed domain or U(q), the samples take the scalar
-    path, ``fold_point`` and ``MapWord.apply``, which raises its error."""
-    if np.all(_in_window(sys, ts) & sys.seed.contains(_pullback(sys, n, ts))):
-        images = word.images(sys, *_phi_parts(sys, ts, arc_height(sys, n, ts)))
+    parameters ts, on arrays like ``_edge_points``; for a 2-D ts, one
+    (xs, ys) per row, in order, from a single pass.  When a sample leaves
+    the arc window, the seed domain or U(q), the rows of a 2-D ts take
+    their own passes lazily, in order, and a 1-D ts takes the scalar path,
+    ``fold_point`` and ``MapWord.apply``, which raises its error."""
+    flat = ts.ravel()
+    if np.all(_in_window(sys, flat) & sys.seed.contains(_pullback(sys, n, flat))):
+        images = word.images(sys, *_phi_parts(sys, flat, arc_height(sys, n, flat)))
         if images is not None:
-            return np.array(images)
+            return np.reshape(images, (2, *ts.shape)).swapaxes(0, ts.ndim - 1)
+    if ts.ndim > 1:
+        return (_branch_points(sys, n, word, row) for row in ts)
     return np.array([word.apply(sys, fold_point(sys, n, float(t))) for t in ts]).T
 
 
@@ -325,10 +351,7 @@ def max_edge_slope(sys: ModelSystem, box: Box) -> float:
     """Largest |dy/dx| between consecutive samples of the long edges (NaNs
     skipped); 0.0 on a level edge, inf on a vertical step."""
     worst = 0.0
-    for handle in (box.top, box.bottom):
-        if handle.level_y(sys) is not None:
-            continue
-        dx, dy = np.diff(_edge_points(sys, handle))
+    for dx, dy in map(np.diff, _edge_points(sys, [h for h in (box.top, box.bottom) if h.level_y(sys) is None])):
         run = dx != 0.0
         if np.any(~run & (dy != 0.0)):
             return math.inf
@@ -365,8 +388,7 @@ def cascade_step(sys: ModelSystem, box: Box) -> tuple[Box, int, Box]:
         )
 
     cuts = [handle.extended_word(("phi",)) for handle in (box.top, box.bottom)]
-    for handle in cuts:
-        edge_xs = _edge_points(sys, handle, _SAMPLES)[0]
+    for edge_xs, _ in _edge_points(sys, cuts, _SAMPLES):
         if edge_xs[-1] - edge_xs[0] == 0.0:
             raise NumericError("edge image collapsed to a single abscissa")
         if not _x_monotone(edge_xs):
@@ -400,8 +422,7 @@ def cascade_step(sys: ModelSystem, box: Box) -> tuple[Box, int, Box]:
             f"B_{nxt.k} spans [{nxt.x_lo:.6g}, {nxt.x_hi:.6g}], outside R_eps "
             f"[{target.x_lo:.6g}, {target.x_hi:.6g}] (u_{box.k}={u})"
         )
-    for handle in (nxt.top, nxt.bottom):
-        ys = _edge_points(sys, handle, _SAMPLES)[1]
+    for _, ys in _edge_points(sys, (nxt.top, nxt.bottom), _SAMPLES):
         escaped = (ys < target.y_lo - tol) | (ys > target.y_hi + tol)
         if escaped.any():
             raise CascadeEnd(f"B_{nxt.k} escapes R_eps vertically (y={ys[escaped.argmax()]:.6g}, u_{box.k}={u})")
@@ -509,15 +530,15 @@ def count_crossing_arcs(sys: ModelSystem, n: int, box: Box) -> int:
     xb = box.x_hi - 0.01 * width
 
     # each edge's one level ordinate, else the samples max_edge_slope reads
-    ys = np.concatenate([[y] if (y := h.level_y(sys)) is not None else _edge_points(sys, h)[1] for h in (box.top, box.bottom)])
+    levels = [(h, h.level_y(sys)) for h in (box.top, box.bottom)]
+    ys = np.concatenate([[y] for _, y in levels if y is not None] + [pts[1] for pts in _edge_points(sys, [h for h, y in levels if y is None])])
     band_lo, band_hi = float(ys.min()), float(ys.max())
     band_tol = max(1e-12, 10.0 * (band_hi - band_lo))
 
-    def monotone_samples(t0: float, t1: float, depth: int) -> np.ndarray:
-        """Samples of the tracked branch, recursively split until every
-        piece reads as x-monotone (the geometry guarantees it; sampling can
-        alias near the fold)."""
-        pts = _branch_points(sys, n, word, _lobatto(t0, t1, _SAMPLES))
+    def monotone_samples(t0: float, t1: float, depth: int, pts: np.ndarray) -> np.ndarray:
+        """Samples of the tracked branch, starting from ``pts`` on [t0, t1],
+        recursively split until every piece reads as x-monotone (the
+        geometry guarantees it; sampling can alias near the fold)."""
         if _x_monotone(pts[0]):
             return pts
         if depth >= _ARC_MAX_REFINE:
@@ -526,10 +547,11 @@ def count_crossing_arcs(sys: ModelSystem, n: int, box: Box) -> int:
                 f"raise the sampling density"
             )
         mid = 0.5 * (t0 + t1)
-        return np.hstack((monotone_samples(t0, mid, depth + 1), monotone_samples(mid, t1, depth + 1)))
+        halves = ((t0, mid), (mid, t1))
+        return np.hstack([monotone_samples(a, b, depth + 1, _branch_points(sys, n, word, _lobatto(a, b, _SAMPLES))) for a, b in halves])
 
-    def branch_crosses(t0: float, t1: float) -> bool:
-        xs, ys = monotone_samples(t0, t1, 0)
+    def branch_crosses(t0: float, t1: float, pts: np.ndarray) -> bool:
+        xs, ys = monotone_samples(t0, t1, 0, pts)
         if not (xs.min() <= xa and xs.max() >= xb):
             return False
         # The traversal must happen inside the box vertically, not above or
@@ -537,4 +559,5 @@ def count_crossing_arcs(sys: ModelSystem, n: int, box: Box) -> int:
         inside = (xa <= xs) & (xs <= xb)
         return not np.any(inside & ~((band_lo - band_tol <= ys) & (ys <= band_hi + band_tol)))
 
-    return sum(1 for t0, t1 in S.branches if branch_crosses(t0, t1))
+    firsts = _branch_points(sys, n, word, np.array([_lobatto(t0, t1, _SAMPLES) for t0, t1 in S.branches]))
+    return sum(1 for (t0, t1), pts in zip(S.branches, firsts) if branch_crosses(t0, t1, pts))

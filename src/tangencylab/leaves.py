@@ -56,6 +56,9 @@ class SeedArc:
         if not self.coeffs:
             raise DomainError("seed polynomial needs at least one coefficient")
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        for i, c in enumerate(self.coeffs):
+            if not math.isfinite(c):
+                raise DomainError(f"seed coefficient {i} must be finite, got {c!r}")
         if self.z0 <= 0.0:
             raise DomainError("seed must cross the stable axis at positive height")
         if min(map(self.eval, (lo, hi, *real_roots(Polynomial(self.coeffs).derivative(), lo, hi)))) <= 0.0:

@@ -96,7 +96,9 @@ def _check_terms(terms: Sequence[tuple[int, int, float]], label: str) -> tuple[t
         i, j, coef = term
         if not (isinstance(i, int) and isinstance(j, int)) or i < 0 or j < 0:
             raise DomainError(f"{label} term {term!r} has invalid exponents")
-        out.append((i, j, float(coef)))
+        if not math.isfinite(coef := float(coef)):
+            raise DomainError(f"{label} term {term!r} has a non-finite coefficient")
+        out.append((i, j, coef))
     return tuple(out)
 
 

@@ -168,10 +168,11 @@ def test_lobatto_sets_nest_bit_for_bit(lo, width, count):
 
 @pytest.fixture(scope="module")
 def sampled_cascades(ref, bench_workloads, tmp_path_factory):
-    """(systems and boxes, sampler calls): every box of the reference
+    """(systems and boxes, sampled members): every box of the reference
     cascades at levels 8-18 and of both instance-sweep seed 0 systems at
-    their configured levels and eps, with each ``_edge_points`` and
-    ``_branch_points`` call that running and counting their arcs makes."""
+    their configured levels and eps, with each handle's and each branch's
+    samples that running and counting their arcs take from ``_edge_points``
+    and ``_branch_points``, batched or alone."""
     systems = [ref]
     root = tmp_path_factory.mktemp("sweep0")
     for i, config in enumerate(bench_workloads.make_configs("instance-sweep", 0, ROOT)):
@@ -181,9 +182,26 @@ def sampled_cascades(ref, bench_workloads, tmp_path_factory):
         systems += [cli._system_for_eps(cfg.system, eps) for eps in cfg.eps_grid]
     boxes, calls = [], []
     edge_points, branch_points = cascade._edge_points, cascade._branch_points
+
+    def recorded(keys, members, size):
+        # each member's slice, recorded as the sampler's caller takes it
+        for key, pts in zip(keys, members):
+            calls.append((*key, pts, size))
+            yield pts
+
+    def edges(sys, handles, count=2 * _SAMPLES - 1):
+        if isinstance(handles, tl.CurveHandle):
+            return next(recorded([("edge", sys, handles, count)], [edge_points(sys, handles, count)], 1))
+        return recorded([("edge", sys, h, count) for h in handles], edge_points(sys, handles, count), len(handles))
+
+    def branches(sys, n, word, ts):
+        if ts.ndim == 1:
+            return next(recorded([("branch", sys, n, word, ts)], [branch_points(sys, n, word, ts)], 1))
+        return recorded([("branch", sys, n, word, row) for row in ts], branch_points(sys, n, word, ts), len(ts))
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cascade, "_edge_points", lambda sys, handle, count=2 * _SAMPLES - 1: calls.append(("edge", sys, handle, count)) or edge_points(sys, handle, count))
-        mp.setattr(cascade, "_branch_points", lambda sys, n, word, ts: calls.append(("branch", sys, n, word, ts)) or branch_points(sys, n, word, ts))
+        mp.setattr(cascade, "_edge_points", edges)
+        mp.setattr(cascade, "_branch_points", branches)
         for sys in systems:
             for n in level_range(sys, 8, 18):
                 try:
@@ -197,14 +215,29 @@ def sampled_cascades(ref, bench_workloads, tmp_path_factory):
 
 
 def _both_paths(call):
-    """(word, array images, scalar images) of one recorded sampler call."""
+    """(word, array images, scalar images) of one recorded sampled member."""
     if call[0] == "edge":
-        _, sys, handle, count = call
+        _, sys, handle, count, array, _ = call
         scalar = [handle.eval(sys, float(s)) for s in _lobatto(handle.s_lo, handle.s_hi, count)]
-        return handle.word, cascade._edge_points(sys, handle, count), np.array(scalar).T
-    _, sys, n, word, ts = call
+        return handle.word, array, np.array(scalar).T
+    _, sys, n, word, ts, array, _ = call
     scalar = [word.apply(sys, fold_point(sys, n, float(t))) for t in ts]
-    return word, cascade._branch_points(sys, n, word, ts), np.array(scalar).T
+    return word, array, np.array(scalar).T
+
+
+def test_batched_samples_equal_each_members_own_pass(sampled_cascades):
+    # Batching changes only array lengths, and numpy evaluates each element
+    # alone: every handle's and every branch's slice of a batched pass is
+    # its own array pass, bit for bit.  The batches seen are the edge pairs
+    # and the three fold branches; the refinements go alone.
+    _, calls = sampled_cascades
+    sizes = set()
+    for call in calls:
+        own = cascade._edge_points(*call[1:4]) if call[0] == "edge" else cascade._branch_points(*call[1:5])
+        array = call[-2]
+        assert own.shape == array.shape and own.tobytes() == array.tobytes(), call[0]
+        sizes.add((call[0], call[-1]))
+    assert {("edge", 2), ("branch", 3)} <= sizes
 
 
 def _ordered(v: float) -> int:
@@ -364,3 +397,37 @@ def test_array_samples_raise_the_scalar_errors(ref):
         want = _raised(lambda: [word.apply(sys, fold_point(sys, 1, float(t))) for t in ts])
         assert want is not None and text in want[1]
         assert _raised(lambda: cascade._branch_points(sys, 1, word, ts)) == want
+
+
+def test_batched_samples_fall_back_member_by_member(ref):
+    # When a batch's array pass gives up, its members take their own passes
+    # one at a time, in order, as the caller asks for them: the batch raises
+    # what the per-member scalar loop raises, class and text, and the
+    # members before the failing one come out first, as their own passes.
+    phi = tl.MapWord((("phi",),))
+    inside = tl.CurveHandle((0.95, 0.0), (1.05, 0.01), phi)
+    outside = tl.CurveHandle((0.9, 0.0), (1.5, 0.01), phi)
+    ss = _lobatto(0.0, 1.0, 9)
+    for handles in ((inside, outside), (outside, inside), (inside, inside, outside)):
+        want = _raised(lambda: [h.eval(ref, float(s)) for h in handles for s in ss])
+        assert want is not None and "outside U(q)" in want[1]
+        assert _raised(lambda: list(cascade._edge_points(ref, handles, 9))) == want
+    batch = iter(cascade._edge_points(ref, (inside, outside), 9))
+    assert next(batch).tobytes() == cascade._edge_points(ref, inside, 9).tobytes()
+    assert _raised(lambda: next(batch)) == _raised(lambda: [outside.eval(ref, float(s)) for s in ss])
+
+    lo, hi = t_window(ref)
+    narrow = replace(ref, seed=SeedArc((-0.5, 1.01), (0.5,)))
+    cases = (
+        (ref, tl.MapWord(), _lobatto(lo, hi, 9), _lobatto(lo, hi + 0.01, 9), "outside arc window"),
+        (narrow, tl.MapWord(), _lobatto(lo, 0.0, 9), _lobatto(lo, hi, 9), "outside the seed domain"),
+        # f^107 takes the level-1 fold points to abscissas 1.17-1.32, past U(q) only near t = lo
+        (ref, tl.MapWord((("linear", 107), ("phi",))), _lobatto(-0.03, 0.0, 9), _lobatto(lo, hi, 9), "outside U(q)"),
+    )
+    for sys, word, good, bad, text in cases:
+        ts = np.array([good, bad])
+        want = _raised(lambda: [word.apply(sys, fold_point(sys, 1, float(t))) for t in ts.ravel()])
+        assert want is not None and text in want[1]
+        batch = iter(cascade._branch_points(sys, 1, word, ts))
+        assert next(batch).tobytes() == cascade._branch_points(sys, 1, word, good).tobytes()
+        assert _raised(lambda: next(batch)) == want

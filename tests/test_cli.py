@@ -380,6 +380,23 @@ def test_reference_run_apply_linear_work(ref_config, tmp_path, monkeypatch):
     assert counts["return_exponent"] == len(moduli._RECORD_CACHE) == 22
 
 
+def test_reference_run_images_work(ref_config, tmp_path, monkeypatch):
+    # One reference all run from empty caches makes 15 MapWord.images calls
+    # and no scalar fallback: a box's top, bottom and delta share one word,
+    # and so do the three fold branches of count_crossing_arcs, so each
+    # cascade scan, edge slope, crossing band and set of first branch
+    # samples takes one array pass.  It made 36 while every handle and
+    # every branch took its own.
+    for module, name in ((rects, "_SN_CACHE"), (rects, "_FOLD_CACHE"), (moduli, "_RN_CACHE"), (moduli, "_RECORD_CACHE")):
+        monkeypatch.setattr(module, name, {})
+    monkeypatch.setattr(tl.model, "_TAU_CACHE", {})
+    results, images = [], cascade.MapWord.images
+    monkeypatch.setattr(cascade.MapWord, "images", lambda *args: results.append(images(*args)) or results[-1])
+    assert run(ref_config, "all", out_dir=str(tmp_path / "out")) == 0
+    assert 0 < len(results) <= 15
+    assert None not in results
+
+
 def test_cascade_evaluates_each_edge_point_once(ref_config, tmp_path, monkeypatch):
     # One reference cascade command evaluates no (handle, s) pair twice
     # outside invert_x (232 pairs repeated before the edge samplers kept

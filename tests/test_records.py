@@ -142,6 +142,16 @@ _BAD_INPUTS = {
         lambda: TransitionSpec(1.0, -1.0, 1.0, -1.0, 0.0, 1, ((4, 0),)),
         "h1 term (4, 0) is not (i, j, coefficient)",
     ),
+    "TransitionSpec term nan": (
+        lambda: TransitionSpec(1.0, -1.0, 1.0, -1.0, 0.0, 1, ((2, 1, math.nan),)),
+        "h1 term (2, 1, nan) has a non-finite coefficient",
+    ),
+    "TransitionSpec h2 term inf": (
+        lambda: TransitionSpec(1.0, -1.0, 1.0, -1.0, 0.0, 1, (), ((2, 0, -math.inf),)),
+        "h2 term (2, 0, -inf) has a non-finite coefficient",
+    ),
+    "SeedArc nan": (lambda: SeedArc((-2.0, 2.0), (0.5, math.nan)), "seed coefficient 1 must be finite, got nan"),
+    "SeedArc z0 nan": (lambda: SeedArc((-2.0, 2.0), (math.nan,)), "seed coefficient 0 must be finite, got nan"),
     "SeedArc domain": (lambda: SeedArc((0.5, 2.0), (0.5,)), "seed domain must contain 0 and 1 in its interior"),
     "SeedArc coeffs": (lambda: SeedArc((-2.0, 2.0), ()), "seed polynomial needs at least one coefficient"),
     "SeedArc z0": (lambda: SeedArc((-2.0, 2.0), (-0.5,)), "seed must cross the stable axis at positive height"),
